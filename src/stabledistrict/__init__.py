@@ -21,7 +21,7 @@ from .bench import (
     sample_centers,
     write_csv,
 )
-from .circle import CircleRun, circle_growing_run, solve_circle_growing, work_counters
+from .circle import CircleRun, circle_growing_run, solve_circle_growing
 from .gale_shapley import (
     DEFAULT_MEMORY_CAP_BYTES,
     PAIR_ENTRY_BYTES,
@@ -31,7 +31,6 @@ from .gale_shapley import (
     solve_gs_nodes,
 )
 from .graph import (
-    DistMatrixRow,
     GraphError,
     ParseError,
     RoadGraph,
@@ -55,7 +54,6 @@ from .model import (
     compute_center_distances,
     equal_quotas,
     parse_assignment_tsv,
-    score_cmp,
     verify_stable,
 )
 from .nnc import (
@@ -67,7 +65,6 @@ from .nnc import (
     nnc_run,
     solve_mutual_closest,
     solve_nnc,
-    truncated_dijkstra_oracle,
 )
 from .render import PALETTE, SvgOptions, render_geojson, render_svg
 
@@ -80,7 +77,6 @@ __all__ = [
     "BlockingPair",
     "CircleRun",
     "DEFAULT_MEMORY_CAP_BYTES",
-    "DistMatrixRow",
     "DnnOracle",
     "GraphError",
     "Instance",
@@ -118,15 +114,12 @@ __all__ = [
     "render_svg",
     "run_bench",
     "sample_centers",
-    "score_cmp",
     "solve_circle_growing",
     "solve_gs_centers",
     "solve_gs_nodes",
     "solve_mutual_closest",
     "solve_nnc",
-    "truncated_dijkstra_oracle",
     "verify_stable",
-    "work_counters",
     "write_csv",
     "write_tsv",
 ]

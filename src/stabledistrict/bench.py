@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -165,7 +164,6 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
     memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES
     use_largest_component: bool = False
-    parallel: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
@@ -229,7 +227,7 @@ def run_algorithm(
         return run.assignment, run.proposals
     if name == "circle":
         run = circle_growing_run(inst, memory_cap_bytes=memory_cap_bytes, trace=trace)
-        return run.assignment, run.settled_total or 0
+        return run.assignment, run.settled_total
     if name == "nnc":
         run = nnc_run(inst)
         return run.assignment, run.oracle_queries + run.oracle_updates
@@ -276,31 +274,8 @@ def _run_cell(
     return records
 
 
-_worker_graph: tuple[str, RoadGraph] | None = None
-
-
-def _worker_init(source: str, use_largest: bool) -> None:
-    global _worker_graph
-    name, g = load_graph_source(source)
-    if use_largest:
-        g = largest_component(g)
-    _worker_graph = (name, g)
-
-
-def _worker_cell(args: tuple[BenchConfig, int, int]) -> list[BenchRecord]:
-    cfg, k, set_index = args
-    assert _worker_graph is not None
-    name, graph = _worker_graph
-    return _run_cell(graph, name, cfg, k, set_index)
-
-
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
-    """Execute the full sweep; records appear in (k, center_set, algorithm) order.
-
-    With ``parallel > 1`` the (k, center set) cells run in separate
-    processes; record order is unchanged but wall times are then not
-    comparable across records.
-    """
+    """Execute the full sweep; records appear in (k, center_set, algorithm) order."""
     name, graph = load_graph_source(cfg.source)
     if cfg.use_largest_component:
         graph = largest_component(graph)
@@ -308,28 +283,15 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
     for k in cfg.k_values:
         if k > n:
             raise InstanceError(f"k={k} exceeds node count {n}")
-    cells = [(k, s) for k in cfg.k_values for s in range(cfg.runs)]
     records: list[BenchRecord] = []
-    if cfg.parallel > 1:
-        with ProcessPoolExecutor(
-            max_workers=cfg.parallel,
-            initializer=_worker_init,
-            initargs=(cfg.source, cfg.use_largest_component),
-        ) as pool:
-            for cell_records in pool.map(
-                _worker_cell, [(cfg, k, s) for k, s in cells]
-            ):
-                records.extend(cell_records)
-    else:
-        for k, s in cells:
+    for k in cfg.k_values:
+        for s in range(cfg.runs):
             records.extend(_run_cell(graph, name, cfg, k, s))
     return records
 
 
-def write_csv(records: list[BenchRecord], fh: IO[str], note: str | None = None) -> None:
-    """Write records under the pinned header; an optional note line leads."""
-    if note:
-        fh.write(f"# {note}\n")
+def write_csv(records: list[BenchRecord], fh: IO[str]) -> None:
+    """Write records under the pinned header."""
     fh.write(CSV_HEADER + "\n")
     for record in records:
         fh.write(record.csv_row() + "\n")

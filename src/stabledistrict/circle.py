@@ -26,27 +26,19 @@ def estimate_circle_bytes(n: int, k: int) -> int:
 
 class CircleRun(NamedTuple):
     assignment: Assignment
-    settled_total: int | None
-    pushed_total: int | None
-
-
-def work_counters(run: CircleRun) -> tuple[int, int]:
-    """(settle events, push events) of a completed instrumented run."""
-    if run.settled_total is None or run.pushed_total is None:
-        raise ValueError("run was not instrumented")
-    return run.settled_total, run.pushed_total
+    settled_total: int
+    pushed_total: int
 
 
 def circle_growing_run(
     inst: Instance,
     memory_cap_bytes: int | None = None,
-    instrument: bool = True,
     trace: IO[str] | None = None,
 ) -> CircleRun:
     """Run the interleaved solver; see solve_circle_growing for the contract.
 
-    With ``instrument`` the run counts settle and push events. ``trace``,
-    when given, receives one tab-separated line per event:
+    The run counts settle and push events. ``trace``, when given,
+    receives one tab-separated line per event:
     ``settle|match|halt <center index> <dense node id> <distance>``.
     """
     g = inst.graph
@@ -110,8 +102,8 @@ def circle_growing_run(
     assert matched == n, "connected instance must match every node"
     return CircleRun(
         assignment=Assignment(match=match, dist=dist_out),
-        settled_total=settled_total if instrument else None,
-        pushed_total=pushed_total if instrument else None,
+        settled_total=settled_total,
+        pushed_total=pushed_total,
     )
 
 

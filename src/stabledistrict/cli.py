@@ -174,15 +174,13 @@ def cmd_bench(args) -> int:
         algorithms=tuple(args.algos.split(",")),
         memory_cap_bytes=_memory_cap(args),
         use_largest_component=args.largest_component,
-        parallel=args.parallel,
     )
     records = bench_mod.run_bench(cfg)
-    note = "parallel run: wall times not comparable" if args.parallel > 1 else None
     if args.output is None or args.output == "-":
-        bench_mod.write_csv(records, sys.stdout, note=note)
+        bench_mod.write_csv(records, sys.stdout)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            bench_mod.write_csv(records, fh, note=note)
+            bench_mod.write_csv(records, fh)
     return 0
 
 
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated algorithms (default: all)",
     )
     p_bench.add_argument("--seed", type=int, default=0, help="master seed")
-    p_bench.add_argument("--parallel", type=int, default=1, help="concurrent center-set runs")
     p_bench.add_argument("--largest-component", action="store_true")
     _add_memory_args(p_bench)
     p_bench.add_argument("-o", "--output", default=None, help="CSV output (default stdout)")

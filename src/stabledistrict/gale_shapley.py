@@ -18,13 +18,20 @@ from typing import NamedTuple
 
 from .model import Assignment, Instance, MemoryCapExceeded, compute_center_distances
 
-# One materialized preference entry: an 8-byte distance plus a 4-byte id.
-PAIR_ENTRY_BYTES = 12
+# Bytes per (center, node) pair while the tables are built: the distance
+# row's 24-byte boxed float and 8-byte list slot, its 8-byte array copy,
+# and a 4-byte id in each side's preference array.
+PAIR_ENTRY_BYTES = 48
+# Bytes per array row (an 80-byte array header plus its list slot, rounded
+# up). Each node owns one preference row; each center owns a distance
+# list, a distance array and a preference array, and a fourth row stands
+# for the k-long scratch lists of one node's sort.
+ROW_BYTES = 96
 DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3
 
 
 def estimate_preference_bytes(n: int, k: int) -> int:
-    return n * k * PAIR_ENTRY_BYTES
+    return n * k * PAIR_ENTRY_BYTES + (n + 4 * k) * ROW_BYTES
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,7 @@ def build_preferences(
     if memory_cap_bytes is not None and required > memory_cap_bytes:
         raise MemoryCapExceeded("gale-shapley", required, memory_cap_bytes)
     rows = compute_center_distances(inst)
-    dist = [array("d", row.dist) for row in rows]
+    dist = [array("d", row) for row in rows]
     # Stable sorts over an index range break distance ties by id/index,
     # which is exactly the Score order with the first component fixed.
     center_prefs = [

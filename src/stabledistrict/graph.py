@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 INF = math.inf
 
@@ -115,13 +115,6 @@ class RoadGraph:
 
     def has_original_id(self, original_id: int) -> bool:
         return original_id in self._orig_index
-
-
-class DistMatrixRow(NamedTuple):
-    """Shortest-path distances from one center to every node (inf if unreachable)."""
-
-    center: int
-    dist: list[float]
 
 
 def _lines(stream: IO[str] | str) -> Iterable[str]:
@@ -332,8 +325,9 @@ def largest_component(g: RoadGraph) -> RoadGraph:
     )
 
 
-def dijkstra(g: RoadGraph, source: int) -> DistMatrixRow:
-    """Single-source shortest paths with a binary heap and lazy deletion."""
+def dijkstra(g: RoadGraph, source: int) -> list[float]:
+    """Single-source shortest paths with a binary heap and lazy deletion;
+    distance per node, inf where unreachable."""
     n = g.node_count
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range 0..{n - 1}")
@@ -350,4 +344,4 @@ def dijkstra(g: RoadGraph, source: int) -> DistMatrixRow:
             if nd < dist[v]:
                 dist[v] = nd
                 heappush(heap, (nd, v))
-    return DistMatrixRow(center=source, dist=dist)
+    return dist

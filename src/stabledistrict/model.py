@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
-from .graph import DistMatrixRow, RoadGraph, dijkstra, is_connected
+from .graph import RoadGraph, dijkstra, is_connected
 
 
 class Score(NamedTuple):
@@ -29,15 +29,6 @@ class Score(NamedTuple):
     dist: float
     node: int
     center: int
-
-
-def score_cmp(s1: Score, s2: Score) -> int:
-    """Three-way comparison under the Score total order (-1, 0, or 1)."""
-    if s1 < s2:
-        return -1
-    if s1 > s2:
-        return 1
-    return 0
 
 
 class InstanceError(ValueError):
@@ -128,13 +119,13 @@ class BlockingPair(NamedTuple):
     worst_dist: float
 
 
-def compute_center_distances(inst: Instance) -> list[DistMatrixRow]:
+def compute_center_distances(inst: Instance) -> list[list[float]]:
     """One shortest-path row per center, in center order."""
     return [dijkstra(inst.graph, c) for c in inst.centers]
 
 
 def verify_stable(
-    inst: Instance, a: Assignment, dists: list[DistMatrixRow]
+    inst: Instance, a: Assignment, dists: list[list[float]]
 ) -> QuotaViolation | BlockingPair | None:
     """Check quotas, then search for a blocking pair; None means stable.
 
@@ -162,13 +153,13 @@ def verify_stable(
     # Worst assigned score per center, as a full Score for tie-safe compares.
     worst: list[Score | None] = [None] * k
     for u, c in enumerate(a.match):
-        s = Score(dists[c].dist[u], u, c)
+        s = Score(dists[c][u], u, c)
         if worst[c] is None or s > worst[c]:
             worst[c] = s
     best: BlockingPair | None = None
     best_score: Score | None = None
     for c in range(k):
-        row = dists[c].dist
+        row = dists[c]
         wc = worst[c]
         assert wc is not None  # quotas are positive, so every center has members
         for u in range(n):
@@ -176,14 +167,14 @@ def verify_stable(
             if mu == c:
                 continue
             s = Score(row[u], u, c)
-            if s < Score(dists[mu].dist[u], u, mu) and s < wc:
+            if s < Score(dists[mu][u], u, mu) and s < wc:
                 if best_score is None or s < best_score:
                     best_score = s
                     best = BlockingPair(
                         node=u,
                         center=c,
                         pair_dist=row[u],
-                        current_dist=dists[mu].dist[u],
+                        current_dist=dists[mu][u],
                         worst_node=wc.node,
                         worst_dist=wc.dist,
                     )

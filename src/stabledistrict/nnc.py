@@ -4,24 +4,17 @@ plus the mutual-closest-pair reference solver used as the test oracle.
 The chain solver is generic over a ``DnnOracle``: any structure that keeps
 one side's active agents (unmatched nodes, or centers with remaining
 quota) and answers nearest-active queries from the other side under the
-Score total order. Two oracle families are provided:
-
-* ``truncated_dijkstra_oracle`` answers every query with a fresh
-  shortest-path search from the query agent, stopped at the first active
-  settle. It is the simple baseline, linear work per query.
-* ``fast_oracle_factory`` keeps amortized state: per-node labels of the
-  nearest open center, repaired locally when a center's quota fills, and
-  a resumable explorer per center for nearest-unmatched-node queries.
-
-Both return identical answers (the solver's output is oracle-independent),
-so the fast pair is the default and the baseline is kept for
-cross-checking.
+Score total order. ``fast_oracle_factory`` is the default pair: per-node
+labels of the nearest open center, repaired locally when a center's quota
+fills, and a resumable explorer per center for nearest-unmatched-node
+queries. The solver's output is oracle-independent, so any other oracle
+answering the same queries gives the same matching.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Literal, NamedTuple, Protocol
+from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
 from .model import (
     Assignment,
@@ -33,8 +26,13 @@ from .model import (
 
 Side = Literal["nodes", "centers"]
 
-# Table bytes for the mutual-closest-pair solver's full distance matrix.
-MUTUAL_ENTRY_BYTES = 8
+# Bytes per (center, node) pair held by the mutual-closest-pair solver: a
+# heap entry (a 64-byte 3-tuple, its 8-byte list slot and a 28-byte boxed
+# node id) plus a distance-table entry (a 24-byte boxed float and its
+# 8-byte list slot), rounded up for list growth.
+MUTUAL_ENTRY_BYTES = 136
+
+_INF = float("inf")
 
 
 class OracleError(RuntimeError):
@@ -60,99 +58,6 @@ class DnnOracle(Protocol):
 OracleFactory = Callable[[Instance, Side], DnnOracle]
 
 
-class _TruncatedCenterOracle:
-    """Baseline centers-side oracle: fresh truncated Dijkstra per query.
-
-    The search from the query node settles vertices in (distance, node id)
-    order and stops at the first distance at which an active center
-    settles; among active centers at that distance the smallest center
-    index wins, matching the Score tie-break exactly.
-    """
-
-    def __init__(self, inst: Instance):
-        self._adjacency = inst.graph.adjacency
-        self._center_index = {v: i for i, v in enumerate(inst.centers)}
-        self._active = [True] * inst.k
-        self._alive = inst.k
-
-    def nearest(self, q: int) -> tuple[Score, int] | None:
-        if self._alive == 0:
-            return None
-        dist = {q: 0.0}
-        heap = [(0.0, q)]
-        found_d: float | None = None
-        found_ci = -1
-        while heap:
-            d, v = heappop(heap)
-            if found_d is not None and d > found_d:
-                break
-            if d > dist[v]:
-                continue
-            ci = self._center_index.get(v)
-            if ci is not None and self._active[ci]:
-                if found_d is None or ci < found_ci:
-                    found_d = d
-                    found_ci = ci
-            if found_d is not None:
-                continue  # equal-distance plateau: settle but do not relax
-            for nb, w in self._adjacency[v]:
-                nd = d + w
-                if nd < dist.get(nb, float("inf")):
-                    dist[nb] = nd
-                    heappush(heap, (nd, nb))
-        if found_d is None:
-            return None
-        return Score(found_d, q, found_ci), found_ci
-
-    def remove(self, x: int) -> None:
-        if self._active[x]:
-            self._active[x] = False
-            self._alive -= 1
-
-
-class _TruncatedNodeOracle:
-    """Baseline nodes-side oracle: fresh truncated Dijkstra per query center."""
-
-    def __init__(self, inst: Instance):
-        self._adjacency = inst.graph.adjacency
-        self._centers = inst.centers
-        self._active = bytearray([1]) * inst.graph.node_count
-        self._alive = inst.graph.node_count
-
-    def nearest(self, q: int) -> tuple[Score, int] | None:
-        if self._alive == 0:
-            return None
-        start = self._centers[q]
-        dist = {start: 0.0}
-        heap = [(0.0, start)]
-        while heap:
-            d, v = heappop(heap)
-            if d > dist[v]:
-                continue
-            if self._active[v]:
-                return Score(d, v, q), v
-            for nb, w in self._adjacency[v]:
-                nd = d + w
-                if nd < dist.get(nb, float("inf")):
-                    dist[nb] = nd
-                    heappush(heap, (nd, nb))
-        return None
-
-    def remove(self, x: int) -> None:
-        if self._active[x]:
-            self._active[x] = 0
-            self._alive -= 1
-
-
-def truncated_dijkstra_oracle(inst: Instance, side: Side) -> DnnOracle:
-    """Baseline DnnOracle: per-query truncated Dijkstra, no shared state."""
-    if side == "centers":
-        return _TruncatedCenterOracle(inst)
-    if side == "nodes":
-        return _TruncatedNodeOracle(inst)
-    raise ValueError(f"unknown side {side!r}")
-
-
 class _CenterLabelOracle:
     """Centers-side oracle with per-vertex nearest-open-center labels.
 
@@ -161,49 +66,28 @@ class _CenterLabelOracle:
     invalidates labels pointing at the removed center (a surviving label
     is still the minimum over the shrunken active set), so repairs run
     lazily: only when a query lands on a dead label are all dead regions
-    relabeled at once by a local Dijkstra seeded from their boundary,
-    whose labels are necessarily still alive. Queries on live labels are
-    O(1) lookups.
+    relabeled at once by the same Dijkstra restricted to them and seeded
+    from their boundary, whose labels are necessarily still alive. Queries
+    on live labels are O(1) lookups.
     """
 
     def __init__(self, inst: Instance):
-        g = inst.graph
-        n = g.node_count
-        self._adjacency = g.adjacency
+        n = inst.graph.node_count
+        self._adjacency = inst.graph.adjacency
         self._active = bytearray([1]) * inst.k
         self._alive = inst.k
         self._pending: list[int] = []
         self._sentinel = inst.k
-        self._lab_d = [float("inf")] * n
+        self._lab_d = [_INF] * n
         self._lab_c = [inst.k] * n
         self._members: list[list[int]] = [[] for _ in range(inst.k)]
-        self._scratch = bytearray(n)
-        lab_d, lab_c = self._lab_d, self._lab_c
-        members = self._members
-        adjacency = self._adjacency
+        self._in_region = bytearray([1]) * n
         heap = []
         for ci, v in enumerate(inst.centers):
-            lab_d[v] = 0.0
-            lab_c[v] = ci
+            self._lab_d[v] = 0.0
+            self._lab_c[v] = ci
             heap.append((0.0, ci, v))
-        heapify(heap)
-        settled = bytearray(n)
-        push = heappush
-        while heap:
-            d, ci, v = heappop(heap)
-            if settled[v]:
-                continue
-            settled[v] = 1
-            members[ci].append(v)
-            for nb, w in adjacency[v]:
-                if settled[nb]:
-                    continue
-                nd = d + w
-                ld = lab_d[nb]
-                if nd < ld or (nd == ld and ci < lab_c[nb]):
-                    lab_d[nb] = nd
-                    lab_c[nb] = ci
-                    push(heap, (nd, ci, nb))
+        self._grow(heap, range(n))
 
     def nearest(self, q: int) -> tuple[Score, int] | None:
         if self._alive == 0:
@@ -224,20 +108,18 @@ class _CenterLabelOracle:
         lab_d, lab_c = self._lab_d, self._lab_c
         adjacency = self._adjacency
         members = self._members
-        in_region = self._scratch
+        in_region = self._in_region
+        sentinel = self._sentinel
         region: list[int] = []
         for ci in self._pending:
             region.extend(members[ci])
             members[ci] = []
         self._pending.clear()
-        sentinel = self._sentinel
-        inf = float("inf")
         for v in region:
             in_region[v] = 1
         heap: list[tuple[float, int, int]] = []
-        push = heappush
         for v in region:
-            bd, bc = inf, sentinel
+            bd, bc = _INF, sentinel
             for nb, w in adjacency[v]:
                 if in_region[nb]:
                     continue
@@ -245,8 +127,19 @@ class _CenterLabelOracle:
                 nc = lab_c[nb]
                 if nd < bd or (nd == bd and nc < bc):
                     bd, bc = nd, nc
-                    push(heap, (nd, nc, v))
+                    heap.append((nd, nc, v))
             lab_d[v], lab_c[v] = bd, bc
+        self._grow(heap, region)
+
+    def _grow(self, heap: list[tuple[float, int, int]], region: Iterable[int]) -> None:
+        """Settle every marked vertex from the seeded ``(dist, center, node)``
+        heap; each seed already holds its vertex's tentative label."""
+        lab_d, lab_c = self._lab_d, self._lab_c
+        adjacency = self._adjacency
+        members = self._members
+        in_region = self._in_region
+        push = heappush
+        heapify(heap)
         while heap:
             d, ci, v = heappop(heap)
             if not in_region[v] or d != lab_d[v] or ci != lab_c[v]:
@@ -262,17 +155,17 @@ class _CenterLabelOracle:
                     lab_d[nb] = nd
                     lab_c[nb] = ci
                     push(heap, (nd, ci, nb))
-        assert not any(in_region[v] for v in region), "repair left unlabeled vertices"
+        assert not any(in_region[v] for v in region), "grow left unlabeled vertices"
 
 
 class _ResumingNodeOracle:
     """Nodes-side oracle with one resumable Dijkstra explorer per center.
 
     Matched nodes only ever leave the active set, so each center's
-    explorer settles vertices once, keeps them in settle order, and scans
-    past deactivated entries on later queries without rewinding. Total
-    search work per center is bounded by the ball it ever explores, which
-    reaches just past its farthest eventual member.
+    explorer keeps its last settled vertex and settles further only once
+    that vertex is deactivated, never rewinding. Total search work per
+    center is bounded by the ball it ever explores, which reaches just
+    past its farthest eventual member.
     """
 
     def __init__(self, inst: Instance):
@@ -280,7 +173,7 @@ class _ResumingNodeOracle:
         self._centers = inst.centers
         self._active = bytearray([1]) * inst.graph.node_count
         self._alive = inst.graph.node_count
-        # center index -> [heap, dist, settled order, scan position]
+        # center index -> [heap, dist, last settled (dist, node) or None]
         self._explorers: dict[int, list] = {}
 
     def nearest(self, q: int) -> tuple[Score, int] | None:
@@ -289,34 +182,25 @@ class _ResumingNodeOracle:
         state = self._explorers.get(q)
         if state is None:
             start = self._centers[q]
-            state = [[(0.0, start)], {start: 0.0}, [], 0]
-            self._explorers[q] = state
-        heap, dist, order, pos = state
+            state = self._explorers[q] = [[(0.0, start)], {start: 0.0}, None]
+        heap, dist, current = state
         active = self._active
         adjacency = self._adjacency
-        while True:
-            while pos < len(order):
-                d, v = order[pos]
-                if active[v]:
-                    state[3] = pos
-                    return Score(d, v, q), v
-                pos += 1
-            advanced = False
-            while heap:
-                d, v = heappop(heap)
-                if d > dist[v]:
-                    continue
-                order.append((d, v))
-                for nb, w in adjacency[v]:
-                    nd = d + w
-                    if nd < dist.get(nb, float("inf")):
-                        dist[nb] = nd
-                        heappush(heap, (nd, nb))
-                advanced = True
-                break
-            if not advanced:
-                state[3] = pos
+        while current is None or not active[current[1]]:
+            if not heap:
                 return None
+            d, v = current = heappop(heap)
+            if d > dist[v]:
+                current = None  # stale entry
+                continue
+            for nb, w in adjacency[v]:
+                nd = d + w
+                if nd < dist.get(nb, _INF):
+                    dist[nb] = nd
+                    heappush(heap, (nd, nb))
+        state[2] = current
+        d, v = current
+        return Score(d, v, q), v
 
     def remove(self, x: int) -> None:
         if self._active[x]:
@@ -326,8 +210,7 @@ class _ResumingNodeOracle:
 
 def fast_oracle_factory(inst: Instance, side: Side) -> DnnOracle:
     """Default DnnOracle pair: lazily repaired labels on the centers side,
-    resumable explorers on the nodes side. Answers are identical to the
-    truncated baseline's."""
+    resumable explorers on the nodes side."""
     if side == "centers":
         return _CenterLabelOracle(inst)
     if side == "nodes":
@@ -346,24 +229,16 @@ class NncRun(NamedTuple):
     oracle_updates: int
 
 
-def nnc_run(
-    inst: Instance,
-    oracle_factory: OracleFactory | None = None,
-    *,
-    first_seed: int | None = None,
-    keep_center_on_stack: bool = True,
-) -> NncRun:
+def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncRun:
     """Chain solver: walk nearest neighbors until the chain folds back.
 
     The stack alternates nodes and centers, each the nearest active agent
     of its predecessor, with strictly decreasing consecutive scores. When
     the top agent's nearest neighbor is already on the stack it must be
     the second-from-top entry; the two form a mutual closest pair and are
-    matched. A center that keeps quota after a match may stay on the stack
-    (it is still its predecessor's nearest neighbor); set
-    ``keep_center_on_stack=False`` to pop it instead, which changes work
-    but not output. An empty stack is reseeded with the lowest-id
-    unmatched node (``first_seed`` overrides the first seeding only).
+    matched. A center that keeps quota after a match stays on the stack
+    (it is still its predecessor's nearest neighbor). An empty stack is
+    reseeded with the lowest-id unmatched node.
     """
     factory = oracle_factory if oracle_factory is not None else fast_oracle_factory
     node_oracle = factory(inst, "nodes")
@@ -381,17 +256,11 @@ def nnc_run(
     pushes = seeds = queries = updates = 0
     while matched < n:
         if not stack:
-            if first_seed is not None and seeds == 0:
-                u = first_seed
-                if not 0 <= u < n or match[u] >= 0:
-                    raise ValueError(f"first_seed {u} is not an unmatched node")
-            else:
-                while match[seed_ptr] >= 0:
-                    seed_ptr += 1
-                u = seed_ptr
-            stack.append((_NODE, u))
+            while match[seed_ptr] >= 0:
+                seed_ptr += 1
+            stack.append((_NODE, seed_ptr))
             links.append(None)
-            on_stack_node[u] = 1
+            on_stack_node[seed_ptr] = 1
             seeds += 1
             pushes += 1
             continue
@@ -419,7 +288,6 @@ def nnc_run(
                 if remaining[ci] == 0:
                     center_oracle.remove(ci)
                     updates += 1
-                if remaining[ci] == 0 or not keep_center_on_stack:
                     stack.pop()
                     links.pop()
                     on_stack_center[ci] = 0
@@ -505,7 +373,7 @@ def mutual_closest_run(
         required = n * k * MUTUAL_ENTRY_BYTES
         if required > memory_cap_bytes:
             raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
-    table = [row.dist for row in compute_center_distances(inst)]
+    table = compute_center_distances(inst)
     heap = [(table[c][u], u, c) for c in range(k) for u in range(n)]
     heapify(heap)
     remaining = list(inst.quotas)

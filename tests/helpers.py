@@ -7,8 +7,11 @@ implementation.
 
 from __future__ import annotations
 
-from stabledistrict import Instance, RoadGraph, equal_quotas, generate_grid
+from heapq import heappop, heappush
+
+from stabledistrict import Instance, RoadGraph, Score, equal_quotas, generate_grid
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
+from stabledistrict.nnc import DnnOracle, Side
 
 
 def path_graph(n: int, weights: list[float] | None = None) -> RoadGraph:
@@ -143,3 +146,98 @@ def least_squares_slope(xs: list[float], ys: list[float]) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+class _TruncatedCenterOracle:
+    """Baseline centers-side oracle: fresh truncated Dijkstra per query.
+
+    The search from the query node settles vertices in (distance, node id)
+    order and stops at the first distance at which an active center
+    settles; among active centers at that distance the smallest center
+    index wins, matching the Score tie-break exactly.
+    """
+
+    def __init__(self, inst: Instance):
+        self._adjacency = inst.graph.adjacency
+        self._center_index = {v: i for i, v in enumerate(inst.centers)}
+        self._active = [True] * inst.k
+        self._alive = inst.k
+
+    def nearest(self, q: int) -> tuple[Score, int] | None:
+        if self._alive == 0:
+            return None
+        dist = {q: 0.0}
+        heap = [(0.0, q)]
+        found_d: float | None = None
+        found_ci = -1
+        while heap:
+            d, v = heappop(heap)
+            if found_d is not None and d > found_d:
+                break
+            if d > dist[v]:
+                continue
+            ci = self._center_index.get(v)
+            if ci is not None and self._active[ci]:
+                if found_d is None or ci < found_ci:
+                    found_d = d
+                    found_ci = ci
+            if found_d is not None:
+                continue  # equal-distance plateau: settle but do not relax
+            for nb, w in self._adjacency[v]:
+                nd = d + w
+                if nd < dist.get(nb, float("inf")):
+                    dist[nb] = nd
+                    heappush(heap, (nd, nb))
+        if found_d is None:
+            return None
+        return Score(found_d, q, found_ci), found_ci
+
+    def remove(self, x: int) -> None:
+        if self._active[x]:
+            self._active[x] = False
+            self._alive -= 1
+
+
+class _TruncatedNodeOracle:
+    """Baseline nodes-side oracle: fresh truncated Dijkstra per query center."""
+
+    def __init__(self, inst: Instance):
+        self._adjacency = inst.graph.adjacency
+        self._centers = inst.centers
+        self._active = bytearray([1]) * inst.graph.node_count
+        self._alive = inst.graph.node_count
+
+    def nearest(self, q: int) -> tuple[Score, int] | None:
+        if self._alive == 0:
+            return None
+        start = self._centers[q]
+        dist = {start: 0.0}
+        heap = [(0.0, start)]
+        while heap:
+            d, v = heappop(heap)
+            if d > dist[v]:
+                continue
+            if self._active[v]:
+                return Score(d, v, q), v
+            for nb, w in self._adjacency[v]:
+                nd = d + w
+                if nd < dist.get(nb, float("inf")):
+                    dist[nb] = nd
+                    heappush(heap, (nd, nb))
+        return None
+
+    def remove(self, x: int) -> None:
+        if self._active[x]:
+            self._active[x] = 0
+            self._alive -= 1
+
+
+def truncated_dijkstra_oracle(inst: Instance, side: Side) -> DnnOracle:
+    """Reference DnnOracle for the fast pair: every query runs a fresh
+    shortest-path search from the query agent, stopped at the first active
+    settle, with no state shared between queries."""
+    if side == "centers":
+        return _TruncatedCenterOracle(inst)
+    if side == "nodes":
+        return _TruncatedNodeOracle(inst)
+    raise ValueError(f"unknown side {side!r}")

@@ -133,7 +133,7 @@ def test_criterion_2_stability_and_perturbations(equivalence_suite):
             match = list(base.match)
             match[u], match[v] = match[v], match[u]
             mutated = Assignment(
-                match=match, dist=[dists[c].dist[x] for x, c in enumerate(match)]
+                match=match, dist=[dists[c][x] for x, c in enumerate(match)]
             )
             perturbed += 1
             if verify_stable(inst, mutated, dists) is not None:
@@ -173,8 +173,8 @@ def test_criterion_4_nnc_flatness(scaling_sweep):
         " a sublinear-per-operation dynamic nearest-neighbor structure, which is"
         " deliberately not part of this package; with search-based oracles the"
         " nodes-side work is bounded below by the sum over centers of the ball"
-        " reaching their farthest member, which on this sweep grows from ~1.8n"
-        " (k=2) to ~25n (k=512). See the companion contrast test for the"
+        " reaching their farthest member, which on this sweep grows from ~1.59n"
+        " (k=2) to ~24.7n (k=512). See the companion contrast test for the"
         " qualitative phenomenon this check is after."
     )
 
@@ -219,11 +219,11 @@ def _ball_settle_count(inst: Instance, match: list[int], dists) -> int:
     """Sum over centers c of |{v : (d_c(v), v) <= (d_c(w), w)}|, w c's worst member."""
     worst = [(-1.0, -1)] * inst.k
     for v, c in enumerate(match):
-        worst[c] = max(worst[c], (dists[c].dist[v], v))
+        worst[c] = max(worst[c], (dists[c][v], v))
     return sum(
         1
         for c in range(inst.k)
-        for v, d in enumerate(dists[c].dist)
+        for v, d in enumerate(dists[c])
         if (d, v) <= worst[c]
     )
 

@@ -9,11 +9,16 @@ from stabledistrict import (
     MemoryCapExceeded,
     solve_circle_growing,
     solve_mutual_closest,
-    work_counters,
 )
 from stabledistrict.circle import circle_growing_run, estimate_circle_bytes
+from stabledistrict.gale_shapley import build_preferences, gs_centers_run
 
-from helpers import path_graph, random_grid_instance, random_sparse_instance
+from helpers import (
+    acceptance_grid_instance,
+    path_graph,
+    random_grid_instance,
+    random_sparse_instance,
+)
 
 
 def test_p6_halts_each_instance_at_quota(p6):
@@ -21,6 +26,7 @@ def test_p6_halts_each_instance_at_quota(p6):
     run = circle_growing_run(p6, trace=trace)
     assert run.assignment.match == [0, 0, 0, 1, 1, 1]
     assert run.settled_total == 6  # each instance settles exactly its own 3
+    assert run.pushed_total >= 6
     events = [line.split("\t") for line in trace.getvalue().splitlines()]
     settled_by_c0 = {int(e[2]) for e in events if e[0] == "settle" and e[1] == "0"}
     assert settled_by_c0 == {0, 1, 2}  # never reaches nodes 4, 5
@@ -57,13 +63,20 @@ def test_settled_total_bounded_by_nk():
         assert run.settled_total >= inst.graph.node_count
 
 
-def test_work_counters_require_instrumentation(p6):
-    run = circle_growing_run(p6, instrument=False)
-    with pytest.raises(ValueError, match="instrument"):
-        work_counters(run)
-    settled, pushed = work_counters(circle_growing_run(p6))
-    assert settled == 6
-    assert pushed >= 6
+def test_settles_equal_gs_centers_proposals():
+    # Both counters equal the sum over centers of how far down its list
+    # each center's final worst member sits: circle growing settles exactly
+    # that ball, and a proposing center's last proposal is always the
+    # acceptance it keeps, its worst final member.
+    mismatches = []
+    for make in (random_grid_instance, random_sparse_instance, acceptance_grid_instance):
+        for seed in range(60):
+            inst = make(seed)
+            settled = circle_growing_run(inst).settled_total
+            proposals = gs_centers_run(inst, build_preferences(inst)).proposals
+            if settled != proposals:
+                mismatches.append((make.__name__, seed, settled, proposals))
+    assert not mismatches
 
 
 def test_memory_cap_refusal(p6):
@@ -97,7 +110,7 @@ def test_each_match_is_the_global_minimum_open_pair(seed):
     from stabledistrict import compute_center_distances
 
     inst = random_grid_instance(seed, max_side=5)
-    table = [row.dist for row in compute_center_distances(inst)]
+    table = compute_center_distances(inst)
     trace = io.StringIO()
     circle_growing_run(inst, trace=trace)
     unmatched = set(range(inst.graph.node_count))

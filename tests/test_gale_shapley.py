@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from stabledistrict import (
@@ -9,16 +11,21 @@ from stabledistrict import (
     compute_center_distances,
     dijkstra,
     equal_quotas,
+    generate_grid,
+    sample_centers,
     solve_gs_centers,
     solve_gs_nodes,
     verify_stable,
 )
+from stabledistrict.bench import derive_seed
 from stabledistrict.gale_shapley import (
     PAIR_ENTRY_BYTES,
+    ROW_BYTES,
     estimate_preference_bytes,
     gs_centers_run,
     gs_nodes_run,
 )
+from stabledistrict.nnc import MUTUAL_ENTRY_BYTES, mutual_closest_run
 
 from helpers import path_graph, random_grid_instance, random_sparse_instance
 
@@ -40,7 +47,7 @@ def test_preference_distances_match_reverse_dijkstra(p5):
     prefs = build_preferences(p5)
     for c_idx, center in enumerate(p5.centers):
         for u in range(p5.graph.node_count):
-            assert prefs.dist[c_idx][u] == dijkstra(p5.graph, u).dist[center]
+            assert prefs.dist[c_idx][u] == dijkstra(p5.graph, u)[center]
 
 
 def test_preference_rows_are_strictly_sorted_permutations():
@@ -99,7 +106,8 @@ def test_both_variants_agree_and_are_stable(seed):
 
 
 def test_memory_estimate_and_refusal():
-    assert estimate_preference_bytes(100, 8) == 100 * 8 * PAIR_ENTRY_BYTES
+    expected = 100 * 8 * PAIR_ENTRY_BYTES + (100 + 4 * 8) * ROW_BYTES
+    assert estimate_preference_bytes(100, 8) == expected
     inst = random_grid_instance(3)
     n, k = inst.graph.node_count, inst.k
     tight = estimate_preference_bytes(n, k)
@@ -116,3 +124,32 @@ def test_quota_one_per_center():
     prefs = build_preferences(inst)
     assert solve_gs_centers(inst, prefs).match == [0, 1, 2]
     assert solve_gs_nodes(inst, prefs).match == [0, 1, 2]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# List, tuple and object headers that one call allocates whatever n and k
+# are; they outweigh the n*k terms only on instances of a few nodes.
+FIXED_CALL_BYTES = 1024
+
+
+def test_memory_estimates_cover_traced_peaks():
+    # The caps refuse a run by these estimates, so they must bound what the
+    # run really allocates, or a run under the cap can still die mid-way.
+    g = generate_grid(32, 32, jitter_seed=7)
+    n, k = g.node_count, 64
+    grid = Instance(g, sample_centers(n, k, derive_seed(1, k, 0)), equal_quotas(n, k))
+    sparse = [(random_sparse_instance(s, max_n=200), FIXED_CALL_BYTES) for s in range(20)]
+    for inst, slack in [(grid, 0)] + sparse:
+        n, k = inst.graph.node_count, inst.k
+        gs_peak = _traced_peak(lambda: build_preferences(inst, memory_cap_bytes=None))
+        assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, gs_peak)
+        mutual_peak = _traced_peak(lambda: mutual_closest_run(inst))
+        assert mutual_peak <= n * k * MUTUAL_ENTRY_BYTES + slack, (n, k, mutual_peak)

@@ -166,22 +166,22 @@ def test_largest_component_empty_graph():
 
 def test_dijkstra_path_graph():
     g = path_graph(6)
-    assert dijkstra(g, 0).dist == [0, 1, 2, 3, 4, 5]
+    assert dijkstra(g, 0) == [0, 1, 2, 3, 4, 5]
 
 
 def test_dijkstra_cycle():
     g = cycle_graph(4)
-    assert dijkstra(g, 0).dist == [0, 1, 2, 1]
+    assert dijkstra(g, 0) == [0, 1, 2, 1]
 
 
 def test_dijkstra_weighted():
     g = parse_dimacs(DIMACS_SMALL)
-    assert dijkstra(g, 0).dist == [0.0, 5.0, 12.0]
+    assert dijkstra(g, 0) == [0.0, 5.0, 12.0]
 
 
 def test_dijkstra_unreachable_is_inf():
     g = parse_dimacs("p sp 3 1\na 1 2 1\n")
-    assert dijkstra(g, 0).dist[2] == math.inf
+    assert dijkstra(g, 0)[2] == math.inf
 
 
 def test_dijkstra_source_out_of_range():
@@ -192,7 +192,7 @@ def test_dijkstra_source_out_of_range():
 def test_dijkstra_relaxation_consistency_and_symmetry():
     for seed in range(6):
         g = generate_grid(5 + seed, 4, jitter_seed=seed)
-        rows = [dijkstra(g, s).dist for s in range(g.node_count)]
+        rows = [dijkstra(g, s) for s in range(g.node_count)]
         for u in range(g.node_count):
             for v, w in g.adjacency[u]:
                 assert rows[u][v] <= w

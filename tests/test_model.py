@@ -17,7 +17,6 @@ from stabledistrict import (
     compute_center_distances,
     equal_quotas,
     parse_assignment_tsv,
-    score_cmp,
     solve_mutual_closest,
     verify_stable,
 )
@@ -40,10 +39,11 @@ def test_equal_quotas_rejects_bad_k(n, k):
 
 
 def test_score_cmp_examples():
-    assert score_cmp(Score(2.0, 3, 1), Score(2.0, 3, 5)) == -1
-    assert score_cmp(Score(1.0, 9, 9), Score(2.0, 0, 0)) == -1
-    assert score_cmp(Score(1.5, 2, 2), Score(1.5, 2, 2)) == 0
-    assert score_cmp(Score(2.0, 4, 0), Score(2.0, 3, 9)) == 1
+    assert Score(2.0, 3, 1) < Score(2.0, 3, 5)
+    assert Score(1.0, 9, 9) < Score(2.0, 0, 0)
+    assert not Score(1.5, 2, 2) < Score(1.5, 2, 2)
+    assert not Score(1.5, 2, 2) > Score(1.5, 2, 2)
+    assert Score(2.0, 4, 0) > Score(2.0, 3, 9)
 
 
 def test_score_is_a_strict_total_order():
@@ -54,11 +54,11 @@ def test_score_is_a_strict_total_order():
         for c in (0, 1)
     ]
     for a, b in itertools.combinations(scores, 2):
-        assert score_cmp(a, b) == -score_cmp(b, a)
-        assert score_cmp(a, b) != 0  # all triples here are distinct
+        assert (a < b) == (b > a)
+        assert (a < b) != (b < a)  # all triples here are distinct
     for a, b, c in itertools.combinations(scores, 3):
-        if score_cmp(a, b) < 0 and score_cmp(b, c) < 0:
-            assert score_cmp(a, c) < 0
+        if a < b and b < c:
+            assert a < c
 
 
 def test_instance_validation():
@@ -90,8 +90,7 @@ def test_verify_stable_accepts_the_stable_assignment(p4):
     a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 2.0])
     assert verify_stable(p4, a, dists) is None
     # independent route: enumerate all 8 node-center pairs directly
-    table = [row.dist for row in dists]
-    assert brute_force_blocking_pairs(p4, a.match, table) == []
+    assert brute_force_blocking_pairs(p4, a.match, dists) == []
 
 
 def test_verify_stable_finds_blocking_pair(p4):
@@ -104,8 +103,7 @@ def test_verify_stable_finds_blocking_pair(p4):
     assert verdict.current_dist == 1.0
     assert verdict.worst_node == 3
     assert verdict.worst_dist == 2.0
-    table = [row.dist for row in dists]
-    first = brute_force_blocking_pairs(p4, a.match, table)[0]
+    first = brute_force_blocking_pairs(p4, a.match, dists)[0]
     assert (first[1], first[2]) == (1, 1)
 
 
@@ -123,7 +121,6 @@ def test_verify_stable_matches_brute_force_on_random_assignments():
         inst = random_grid_instance(seed, max_side=6)
         n = inst.graph.node_count
         dists = compute_center_distances(inst)
-        table = [row.dist for row in dists]
         rng = SplitMix64(seed)
         # random quota-preserving assignment: shuffle the stable one
         match = list(solve_mutual_closest(inst).match)
@@ -131,9 +128,9 @@ def test_verify_stable_matches_brute_force_on_random_assignments():
             u = rng.next_below(n)
             v = rng.next_below(n)
             match[u], match[v] = match[v], match[u]
-        a = Assignment(match=match, dist=[table[c][u] for u, c in enumerate(match)])
+        a = Assignment(match=match, dist=[dists[c][u] for u, c in enumerate(match)])
         verdict = verify_stable(inst, a, dists)
-        pairs = brute_force_blocking_pairs(inst, match, table)
+        pairs = brute_force_blocking_pairs(inst, match, dists)
         if verdict is None:
             assert pairs == []
         else:

@@ -10,13 +10,17 @@ from stabledistrict import (
     fast_oracle_factory,
     solve_mutual_closest,
     solve_nnc,
-    truncated_dijkstra_oracle,
     verify_stable,
 )
 from stabledistrict.bench import SplitMix64
 from stabledistrict.nnc import mutual_closest_run, nnc_run
 
-from helpers import path_graph, random_grid_instance, random_sparse_instance
+from helpers import (
+    path_graph,
+    random_grid_instance,
+    random_sparse_instance,
+    truncated_dijkstra_oracle,
+)
 
 
 def test_truncated_center_oracle_basics(p6):
@@ -61,67 +65,37 @@ def test_node_oracle_tie_prefers_lower_node_id():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fast_oracles_agree_with_truncated_under_fuzz(seed):
-    inst = random_grid_instance(seed, max_side=6)
-    n, k = inst.graph.node_count, inst.k
-    rng = SplitMix64(seed * 31 + 7)
-    slow_c = truncated_dijkstra_oracle(inst, "centers")
-    fast_c = fast_oracle_factory(inst, "centers")
-    slow_n = truncated_dijkstra_oracle(inst, "nodes")
-    fast_n = fast_oracle_factory(inst, "nodes")
-    removed_c: set[int] = set()
-    removed_n: set[int] = set()
-    for _ in range(120):
-        action = rng.next_below(4)
-        if action == 0 and len(removed_c) < k:
-            x = rng.next_below(k)
-            slow_c.remove(x)
-            fast_c.remove(x)
-            removed_c.add(x)
-        elif action == 1 and len(removed_n) < n:
-            x = rng.next_below(n)
-            slow_n.remove(x)
-            fast_n.remove(x)
-            removed_n.add(x)
-        elif action == 2:
-            q = rng.next_below(n)
-            assert slow_c.nearest(q) == fast_c.nearest(q)
-        else:
-            q = rng.next_below(k)
-            assert slow_n.nearest(q) == fast_n.nearest(q)
+    for inst in (random_grid_instance(seed, max_side=6), random_sparse_instance(seed)):
+        n, k = inst.graph.node_count, inst.k
+        rng = SplitMix64(seed * 31 + 7)
+        slow_c = truncated_dijkstra_oracle(inst, "centers")
+        fast_c = fast_oracle_factory(inst, "centers")
+        slow_n = truncated_dijkstra_oracle(inst, "nodes")
+        fast_n = fast_oracle_factory(inst, "nodes")
+        removed_c: set[int] = set()
+        removed_n: set[int] = set()
+        for _ in range(120):
+            action = rng.next_below(4)
+            if action == 0 and len(removed_c) < k:
+                x = rng.next_below(k)
+                slow_c.remove(x)
+                fast_c.remove(x)
+                removed_c.add(x)
+            elif action == 1 and len(removed_n) < n:
+                x = rng.next_below(n)
+                slow_n.remove(x)
+                fast_n.remove(x)
+                removed_n.add(x)
+            elif action == 2:
+                q = rng.next_below(n)
+                assert slow_c.nearest(q) == fast_c.nearest(q)
+            else:
+                q = rng.next_below(k)
+                assert slow_n.nearest(q) == fast_n.nearest(q)
 
 
 def test_chain_solves_p6(p6):
     assert solve_nnc(p6).match == [0, 0, 0, 1, 1, 1]
-
-
-def test_chain_seeded_away_from_the_ends(p6):
-    removed_nodes = []
-
-    class RecordingNodeOracle:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def nearest(self, q):
-            return self.inner.nearest(q)
-
-        def remove(self, x):
-            removed_nodes.append(x)
-            self.inner.remove(x)
-
-    def factory(inst, side):
-        inner = fast_oracle_factory(inst, side)
-        return RecordingNodeOracle(inner) if side == "nodes" else inner
-
-    run = nnc_run(p6, factory, first_seed=3)
-    assert run.assignment.match == [0, 0, 0, 1, 1, 1]
-    # seeding at node 3 chains 3 -> c1, and the chain's first match must have
-    # a Score strictly below Score(2, 3, 1); it is c1 matching itself
-    assert removed_nodes[0] == 5
-
-
-def test_first_seed_must_be_unmatched(p6):
-    with pytest.raises(ValueError, match="unmatched"):
-        nnc_run(p6, first_seed=99)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -135,15 +109,6 @@ def test_chain_matches_reference_with_both_factories(seed):
     n = inst.graph.node_count
     assert fast.stack_pushes <= 2 * n + fast.seeds
     assert fast.seeds >= 1
-
-
-def test_pop_both_variant_gives_identical_output():
-    for seed in (2, 5, 9):
-        inst = random_grid_instance(seed)
-        keep = nnc_run(inst, keep_center_on_stack=True)
-        pop = nnc_run(inst, keep_center_on_stack=False)
-        assert keep.assignment == pop.assignment
-        assert pop.stack_pushes >= keep.stack_pushes
 
 
 def test_broken_oracle_aborts(p6):
