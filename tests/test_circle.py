@@ -26,7 +26,6 @@ def test_p6_halts_each_instance_at_quota(p6):
     run = circle_growing_run(p6, trace=trace)
     assert run.assignment.match == [0, 0, 0, 1, 1, 1]
     assert run.settled_total == 6  # each instance settles exactly its own 3
-    assert run.pushed_total >= 6
     events = [line.split("\t") for line in trace.getvalue().splitlines()]
     settled_by_c0 = {int(e[2]) for e in events if e[0] == "settle" and e[1] == "0"}
     assert settled_by_c0 == {0, 1, 2}  # never reaches nodes 4, 5
@@ -61,6 +60,18 @@ def test_settled_total_bounded_by_nk():
         run = circle_growing_run(inst)
         assert run.settled_total <= inst.graph.node_count * inst.k
         assert run.settled_total >= inst.graph.node_count
+
+
+def test_work_counters_require_instrumentation(p6):
+    # No instrumentation is needed: every run keeps its work counters, and
+    # writing a trace leaves them unchanged.
+    plain = circle_growing_run(p6)
+    assert (plain.settled_total, plain.pushed_total >= 6) == (6, True)
+    traced = circle_growing_run(p6, trace=io.StringIO())
+    assert (traced.settled_total, traced.pushed_total) == (
+        plain.settled_total,
+        plain.pushed_total,
+    )
 
 
 def test_settles_equal_gs_centers_proposals():
