@@ -64,7 +64,10 @@ def build_preferences(
     if memory_cap_bytes is not None and required > memory_cap_bytes:
         raise MemoryCapExceeded("gale-shapley", required, memory_cap_bytes)
     rows = compute_center_distances(inst)
-    dist = [array("d", row) for row in rows]
+    dist = []
+    for c in range(k):
+        dist.append(array("d", rows[c]))
+        rows[c] = None  # free each boxed row once its array copy exists
     # Stable sorts over an index range break distance ties by id/index,
     # which is exactly the Score order with the first component fixed.
     center_prefs = [

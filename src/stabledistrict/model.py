@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
+from operator import le
 from typing import IO, NamedTuple
 
 from .graph import RoadGraph, dijkstra, is_connected
@@ -139,6 +141,9 @@ def verify_stable(
     k = inst.k
     if len(dists) != k:
         raise ValueError(f"expected {k} distance rows, got {len(dists)}")
+    for c, row in enumerate(dists):
+        if len(row) != n:
+            raise ValueError(f"distance row {c} has {len(row)} entries, expected {n}")
     if len(a.match) != n:
         raise ValueError(f"assignment covers {len(a.match)} of {n} nodes")
     counts = [0] * k
@@ -150,10 +155,12 @@ def verify_stable(
         if counts[c] != inst.quotas[c]:
             return QuotaViolation(center=c, expected=inst.quotas[c], actual=counts[c])
 
+    match = a.match
+    own = [dists[c][u] for u, c in enumerate(match)]
     # Worst assigned score per center, as a full Score for tie-safe compares.
     worst: list[Score | None] = [None] * k
-    for u, c in enumerate(a.match):
-        s = Score(dists[c][u], u, c)
+    for u, c in enumerate(match):
+        s = Score(own[u], u, c)
         if worst[c] is None or s > worst[c]:
             worst[c] = s
     best: BlockingPair | None = None
@@ -162,21 +169,27 @@ def verify_stable(
         row = dists[c]
         wc = worst[c]
         assert wc is not None  # quotas are positive, so every center has members
-        for u in range(n):
-            mu = a.match[u]
+        wd = wc.dist
+        # (u, c) can block only if row[u] <= own[u] and row[u] <= wd, so
+        # Scores are built only for the pairs that pass both float tests.
+        for u in compress(range(n), map(le, row, own)):
+            mu = match[u]
             if mu == c:
                 continue
-            s = Score(row[u], u, c)
-            if s < Score(dists[mu][u], u, mu) and s < wc:
+            d = row[u]
+            if d > wd:
+                continue
+            s = Score(d, u, c)
+            if s < Score(own[u], u, mu) and s < wc:
                 if best_score is None or s < best_score:
                     best_score = s
                     best = BlockingPair(
                         node=u,
                         center=c,
-                        pair_dist=row[u],
-                        current_dist=dists[mu][u],
+                        pair_dist=d,
+                        current_dist=own[u],
                         worst_node=wc.node,
-                        worst_dist=wc.dist,
+                        worst_dist=wd,
                     )
     return best
 

@@ -13,7 +13,8 @@ answering the same queries gives the same matching.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from array import array
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
 from .model import (
@@ -26,11 +27,22 @@ from .model import (
 
 Side = Literal["nodes", "centers"]
 
-# Bytes per (center, node) pair held by the mutual-closest-pair solver: a
-# heap entry (a 64-byte 3-tuple, its 8-byte list slot and a 28-byte boxed
-# node id) plus a distance-table entry (a 24-byte boxed float and its
-# 8-byte list slot), rounded up for list growth.
-MUTUAL_ENTRY_BYTES = 136
+# Bytes held by the mutual-closest-pair solver. Per (center, node) pair: a
+# distance-table entry (a 24-byte boxed float and its 8-byte list slot)
+# plus a 4-byte id in the center's sorted row. Per node: the match, dist
+# and order list slots, an order entry (a 56-byte 2-tuple and a 28-byte
+# boxed node id), and one row sort's scratch (a boxed index, its list and
+# key slots, merge space). Per center: a merge-heap entry (a 64-byte
+# 3-tuple, its slot and a boxed node id), the table row's list header,
+# the sorted row's array header, and its list slots.
+MUTUAL_PAIR_BYTES = 36
+MUTUAL_NODE_BYTES = 160
+MUTUAL_CENTER_BYTES = 256
+
+
+def estimate_mutual_bytes(n: int, k: int) -> int:
+    return n * k * MUTUAL_PAIR_BYTES + n * MUTUAL_NODE_BYTES + k * MUTUAL_CENTER_BYTES
+
 
 _INF = float("inf")
 
@@ -362,27 +374,39 @@ def mutual_closest_run(
     The pair of minimum Score among (unmatched node, unfilled center)
     pairs is always a mutual closest pair, so matching it greedily yields
     the unique stable solution. The full k x n distance table is
-    materialized and consumed through one lazily-filtered heap. With
-    ``check_steps`` every selected pair is verified mutual-closest by
-    exhaustively scanning both sides' active partners (intended for small
-    instances).
+    materialized, each center's row is sorted into (dist, node) order, and
+    the k sorted rows are merged through a k-entry heap in Score order;
+    pairs whose node is matched or whose center is full are popped and
+    skipped. With ``check_steps`` every selected pair is verified
+    mutual-closest by exhaustively scanning both sides' active partners
+    (intended for small instances).
     """
     n = inst.graph.node_count
     k = inst.k
     if memory_cap_bytes is not None:
-        required = n * k * MUTUAL_ENTRY_BYTES
+        required = estimate_mutual_bytes(n, k)
         if required > memory_cap_bytes:
             raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
     table = compute_center_distances(inst)
-    heap = [(table[c][u], u, c) for c in range(k) for u in range(n)]
+    # Stable sorts over an index range break distance ties by node id.
+    sorted_rows = [array("i", sorted(range(n), key=row.__getitem__)) for row in table]
+    heap = [(table[c][sorted_rows[c][0]], sorted_rows[c][0], c) for c in range(k)]
     heapify(heap)
+    next_pos = [1] * k
     remaining = list(inst.quotas)
     match = [-1] * n
     dist_out = [0.0] * n
     order: list[tuple[int, int]] = []
     pops = 0
     while len(order) < n:
-        d, u, c = heappop(heap)
+        d, u, c = heap[0]
+        p = next_pos[c]
+        if p < n:
+            v = sorted_rows[c][p]
+            heapreplace(heap, (table[c][v], v, c))
+            next_pos[c] = p + 1
+        else:
+            heappop(heap)
         pops += 1
         if match[u] >= 0 or remaining[c] == 0:
             continue

@@ -7,9 +7,16 @@ implementation.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
-from stabledistrict import Instance, RoadGraph, Score, equal_quotas, generate_grid
+from stabledistrict import (
+    Instance,
+    RoadGraph,
+    Score,
+    compute_center_distances,
+    equal_quotas,
+    generate_grid,
+)
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
 from stabledistrict.nnc import DnnOracle, Side
 
@@ -111,6 +118,31 @@ def brute_force_blocking_pairs(inst: Instance, match: list[int], table: list[lis
             if s < cur and s < worst[c]:
                 pairs.append(s)
     return sorted(pairs)
+
+
+def reference_mutual_closest(inst: Instance):
+    """The mutual-closest-pair loop over one heap of all n*k (dist, node,
+    center) triples; returns (match, dist, order, pops)."""
+    n = inst.graph.node_count
+    k = inst.k
+    table = compute_center_distances(inst)
+    heap = [(table[c][u], u, c) for c in range(k) for u in range(n)]
+    heapify(heap)
+    remaining = list(inst.quotas)
+    match = [-1] * n
+    dist = [0.0] * n
+    order = []
+    pops = 0
+    while len(order) < n:
+        d, u, c = heappop(heap)
+        pops += 1
+        if match[u] >= 0 or remaining[c] == 0:
+            continue
+        match[u] = c
+        dist[u] = d
+        order.append((u, c))
+        remaining[c] -= 1
+    return match, dist, order, pops
 
 
 def spearman(xs: list[float], ys: list[float]) -> float:

@@ -25,7 +25,7 @@ from stabledistrict.gale_shapley import (
     gs_centers_run,
     gs_nodes_run,
 )
-from stabledistrict.nnc import MUTUAL_ENTRY_BYTES, mutual_closest_run
+from stabledistrict.nnc import estimate_mutual_bytes, mutual_closest_run
 
 from helpers import path_graph, random_grid_instance, random_sparse_instance
 
@@ -143,13 +143,19 @@ FIXED_CALL_BYTES = 1024
 def test_memory_estimates_cover_traced_peaks():
     # The caps refuse a run by these estimates, so they must bound what the
     # run really allocates, or a run under the cap can still die mid-way.
-    g = generate_grid(32, 32, jitter_seed=7)
-    n, k = g.node_count, 64
-    grid = Instance(g, sample_centers(n, k, derive_seed(1, k, 0)), equal_quotas(n, k))
+    # The 32x32 k=64 and 64x64 k=8 jitter-7 grids have the shapes of the
+    # many-centers and ingest benchmark workloads, 50x50 k=32 that of the
+    # road one; at k=8 the per-node lists outweigh the per-pair terms.
+    grids = []
+    for side, k in ((32, 64), (64, 8), (50, 32)):
+        g = generate_grid(side, side, jitter_seed=7)
+        n = g.node_count
+        inst = Instance(g, sample_centers(n, k, derive_seed(1, k, 0)), equal_quotas(n, k))
+        grids.append((inst, 0))
     sparse = [(random_sparse_instance(s, max_n=200), FIXED_CALL_BYTES) for s in range(20)]
-    for inst, slack in [(grid, 0)] + sparse:
+    for inst, slack in grids + sparse:
         n, k = inst.graph.node_count, inst.k
         gs_peak = _traced_peak(lambda: build_preferences(inst, memory_cap_bytes=None))
         assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, gs_peak)
         mutual_peak = _traced_peak(lambda: mutual_closest_run(inst))
-        assert mutual_peak <= n * k * MUTUAL_ENTRY_BYTES + slack, (n, k, mutual_peak)
+        assert mutual_peak <= estimate_mutual_bytes(n, k) + slack, (n, k, mutual_peak)

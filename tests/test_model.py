@@ -21,7 +21,13 @@ from stabledistrict import (
     verify_stable,
 )
 
-from helpers import brute_force_blocking_pairs, path_graph, random_grid_instance
+from helpers import (
+    acceptance_grid_instance,
+    brute_force_blocking_pairs,
+    path_graph,
+    random_grid_instance,
+    random_sparse_instance,
+)
 
 
 @pytest.mark.parametrize(
@@ -114,11 +120,27 @@ def test_verify_stable_reports_quota_violation_first(p4):
     assert verdict == QuotaViolation(center=0, expected=2, actual=3)
 
 
+def test_verify_stable_rejects_rows_of_the_wrong_length(p4):
+    dists = compute_center_distances(p4)
+    a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 2.0])
+    short = [dists[0], dists[1][:-1]]
+    with pytest.raises(ValueError, match="distance row 1 has 3 entries, expected 4"):
+        verify_stable(p4, a, short)
+    long = [dists[0] + [0.0], dists[1]]
+    with pytest.raises(ValueError, match="distance row 0 has 5 entries, expected 4"):
+        verify_stable(p4, a, long)
+
+
 def test_verify_stable_matches_brute_force_on_random_assignments():
     from stabledistrict.bench import SplitMix64
 
-    for seed in range(25):
-        inst = random_grid_instance(seed, max_side=6)
+    # Grids, sparse non-grid graphs and the acceptance suite's instances,
+    # with equal and random quotas, each with a few members swapped.
+    instances = [random_grid_instance(seed, max_side=6) for seed in range(25)]
+    instances += [random_sparse_instance(seed) for seed in range(25)]
+    instances += [acceptance_grid_instance(i) for i in range(25)]
+    blocked = 0
+    for seed, inst in enumerate(instances):
         n = inst.graph.node_count
         dists = compute_center_distances(inst)
         rng = SplitMix64(seed)
@@ -133,11 +155,21 @@ def test_verify_stable_matches_brute_force_on_random_assignments():
         pairs = brute_force_blocking_pairs(inst, match, dists)
         if verdict is None:
             assert pairs == []
-        else:
-            assert isinstance(verdict, BlockingPair)
-            d, u, c = pairs[0]
-            assert (u, c) == (verdict.node, verdict.center)
-            assert d == verdict.pair_dist
+            continue
+        blocked += 1
+        d, u, c = pairs[0]
+        worst_dist, worst_node = max(
+            (dists[c][v], v) for v in range(n) if match[v] == c
+        )
+        assert verdict == BlockingPair(
+            node=u,
+            center=c,
+            pair_dist=d,
+            current_dist=dists[match[u]][u],
+            worst_node=worst_node,
+            worst_dist=worst_dist,
+        )
+    assert blocked > 0
 
 
 def test_assignment_tsv_roundtrip(p6):

@@ -16,9 +16,11 @@ from stabledistrict.bench import SplitMix64
 from stabledistrict.nnc import mutual_closest_run, nnc_run
 
 from helpers import (
+    acceptance_grid_instance,
     path_graph,
     random_grid_instance,
     random_sparse_instance,
+    reference_mutual_closest,
     truncated_dijkstra_oracle,
 )
 
@@ -143,6 +145,23 @@ def test_mutual_closest_match_order(p4):
 def test_mutual_closest_examples(p5, p6):
     assert solve_mutual_closest(p5).match == [0, 0, 0, 1, 1]
     assert solve_mutual_closest(p6).match == [0, 0, 0, 1, 1, 1]
+
+
+def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
+    # The k-way merge of sorted rows must pop the same pairs in the same
+    # order as one heap over all n*k (dist, node, center) triples.
+    for seed in range(60):
+        for inst in (
+            random_grid_instance(seed),
+            random_sparse_instance(seed),
+            acceptance_grid_instance(seed),
+        ):
+            run = mutual_closest_run(inst)
+            match, dist, order, pops = reference_mutual_closest(inst)
+            assert run.assignment.match == match
+            assert run.assignment.dist == dist
+            assert run.order == order
+            assert run.pops == pops
 
 
 @pytest.mark.parametrize("seed", range(8))
