@@ -53,6 +53,7 @@ from .model import (
     assignment_to_tsv,
     compute_center_distances,
     equal_quotas,
+    member_ball_distances,
     parse_assignment_tsv,
     verify_stable,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "fast_oracle_factory",
     "generate_grid",
     "largest_component",
+    "member_ball_distances",
     "mutual_closest_run",
     "nnc_run",
     "parse_assignment_tsv",

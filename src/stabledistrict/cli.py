@@ -26,8 +26,9 @@ from .model import (
     QuotaViolation,
     assignment_summary_json,
     assignment_to_tsv,
-    compute_center_distances,
+    compute_center_distances,  # unused here; perfbench/spans.py wraps cli.compute_center_distances
     equal_quotas,
+    member_ball_distances,
     parse_assignment_tsv,
     verify_stable,
 )
@@ -135,7 +136,7 @@ def cmd_verify(args) -> int:
     inst = Instance(g, centers, quotas)
     with open(args.assignment, "r", encoding="utf-8") as fh:
         assignment = parse_assignment_tsv(fh.read(), g, centers)
-    verdict = verify_stable(inst, assignment, compute_center_distances(inst))
+    verdict = verify_stable(inst, assignment, member_ball_distances(inst, assignment))
     if verdict is None:
         print("STABLE")
         return 0

@@ -325,9 +325,19 @@ def largest_component(g: RoadGraph) -> RoadGraph:
     )
 
 
-def dijkstra(g: RoadGraph, source: int) -> list[float]:
+def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) -> list[float]:
     """Single-source shortest paths with a binary heap and lazy deletion;
-    distance per node, inf where unreachable."""
+    distance per node, inf where unreachable.
+
+    With ``targets``, the search stops once every target is settled and the
+    heap's next distance exceeds the farthest target's. The settled nodes
+    are then exactly those at distance at most that one, and their entries
+    equal a full search's: the pops so far are a prefix of its pops. Every
+    other entry is inf or a tentative distance, never below the true one.
+    The whole tie band at the farthest distance is drained, because a
+    weight absorbed by rounding (``d + w == d``) can push a tied node after
+    the last target is popped. Empty ``targets`` settle only the source.
+    """
     n = g.node_count
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range 0..{n - 1}")
@@ -335,8 +345,20 @@ def dijkstra(g: RoadGraph, source: int) -> list[float]:
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     adjacency = g.adjacency
+    left = set(targets) if targets is not None else set()
+    # Pops beyond `stop` end the search: never for a full search; with
+    # targets every pop checks `left` until the last one settles, and from
+    # then on `stop` is its distance.
+    stop = INF if targets is None else -1.0
     while heap:
         d, u = heappop(heap)
+        if d > stop:
+            if not left:
+                break
+            if d == dist[u]:
+                left.discard(u)
+                if not left:
+                    stop = d
         if d > dist[u]:
             continue  # stale entry
         for v, w in adjacency[u]:

@@ -126,6 +126,34 @@ def compute_center_distances(inst: Instance) -> list[list[float]]:
     return [dijkstra(inst.graph, c) for c in inst.centers]
 
 
+def _members_by_center(inst: Instance, a: Assignment) -> list[list[int]]:
+    """Each center's assigned nodes; rejects a match of the wrong length or
+    a center index outside 0..k-1."""
+    n = inst.graph.node_count
+    k = inst.k
+    if len(a.match) != n:
+        raise ValueError(f"assignment covers {len(a.match)} of {n} nodes")
+    members: list[list[int]] = [[] for _ in range(k)]
+    for u, c in enumerate(a.match):
+        if not 0 <= c < k:
+            raise ValueError(f"node {u} assigned to invalid center index {c}")
+        members[c].append(u)
+    return members
+
+
+def member_ball_distances(inst: Instance, a: Assignment) -> list[list[float]]:
+    """Distance rows that ``verify_stable`` can check ``a`` with, searching
+    each center only out to its farthest assigned member.
+
+    Each row has one entry per node. It is exact for every node no farther
+    from the center than the center's worst member, and elsewhere holds inf
+    or a tentative distance, never below the true one. A center with no
+    members searches nothing. Reads only the graph and the assignment.
+    """
+    members = _members_by_center(inst, a)
+    return [dijkstra(inst.graph, c, m) for c, m in zip(inst.centers, members)]
+
+
 def verify_stable(
     inst: Instance, a: Assignment, dists: list[list[float]]
 ) -> QuotaViolation | BlockingPair | None:
@@ -136,6 +164,13 @@ def verify_stable(
     all under the Score total order (so the verdict is well defined even
     with tied distances). Among blocking pairs the one with the smallest
     Score is reported. Quota violations are reported before any search.
+
+    ``dists`` holds one row per center. Full rows (``compute_center_distances``)
+    work, and so does any row that is exact for every node scoring at or
+    below the center's worst member and elsewhere never below the true
+    distance (``member_ball_distances``): a node outside that ball then
+    scores above the worst member whatever its entry holds, so it fails the
+    ``d > wd`` or ``s < wc`` test.
     """
     n = inst.graph.node_count
     k = inst.k
@@ -144,16 +179,10 @@ def verify_stable(
     for c, row in enumerate(dists):
         if len(row) != n:
             raise ValueError(f"distance row {c} has {len(row)} entries, expected {n}")
-    if len(a.match) != n:
-        raise ValueError(f"assignment covers {len(a.match)} of {n} nodes")
-    counts = [0] * k
-    for u, c in enumerate(a.match):
-        if not 0 <= c < k:
-            raise ValueError(f"node {u} assigned to invalid center index {c}")
-        counts[c] += 1
+    members = _members_by_center(inst, a)
     for c in range(k):
-        if counts[c] != inst.quotas[c]:
-            return QuotaViolation(center=c, expected=inst.quotas[c], actual=counts[c])
+        if len(members[c]) != inst.quotas[c]:
+            return QuotaViolation(center=c, expected=inst.quotas[c], actual=len(members[c]))
 
     match = a.match
     own = [dists[c][u] for u, c in enumerate(match)]

@@ -10,12 +10,19 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from stabledistrict import (
+    Assignment,
     Instance,
     RoadGraph,
     Score,
+    build_preferences,
     compute_center_distances,
     equal_quotas,
     generate_grid,
+    mutual_closest_run,
+    solve_circle_growing,
+    solve_gs_centers,
+    solve_gs_nodes,
+    solve_nnc,
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
 from stabledistrict.nnc import DnnOracle, Side
@@ -76,6 +83,34 @@ def random_sparse_instance(seed: int, max_n: int = 40) -> Instance:
     return Instance(g, centers, quotas)
 
 
+def random_float_instance(seed: int, max_n: int = 40) -> Instance:
+    """Random connected graph with non-dyadic float weights from 1e-9 to 10.
+
+    Each weight is a mantissa in [1, 10) with a denominator of 1_000_003,
+    scaled by 10**-e for e in {0, 1, 2, 3, 9}, so sums round.
+    """
+    rng = SplitMix64(derive_seed(seed, 0xF1))
+
+    def weight() -> float:
+        mantissa = 1.0 + rng.next_below(9_000_000) / 1_000_003.0
+        return mantissa * 10.0 ** -(0, 1, 2, 3, 9)[rng.next_below(5)]
+
+    n = 2 + rng.next_below(max_n - 1)
+    edges = [(rng.next_below(v), v, weight()) for v in range(1, n)]
+    for _ in range(rng.next_below(n + 1)):
+        u, v = rng.next_below(n), rng.next_below(n)
+        if u != v:
+            edges.append((u, v, weight()))
+    g = RoadGraph.from_edges(edges, node_ids=range(n))
+    k = 1 + rng.next_below(min(n, 8))
+    centers = sample_centers(n, k, derive_seed(seed, 0xF2))
+    quotas = random_quotas(n, k, rng) if seed % 2 else equal_quotas(n, k)
+    return Instance(g, centers, quotas)
+
+
+N_EQUIVALENCE_CASES = 200
+
+
 def acceptance_grid_instance(i: int) -> Instance:
     """Instance i of the 200-case equivalence suite.
 
@@ -97,6 +132,18 @@ def acceptance_grid_instance(i: int) -> Instance:
     centers = sample_centers(n, k, derive_seed(i, 0x53))
     quotas = equal_quotas(n, k) if i % 2 == 0 else random_quotas(n, k, rng)
     return Instance(g, centers, quotas)
+
+
+def all_solver_outputs(inst: Instance) -> dict[str, Assignment]:
+    """The five solvers' assignments, keyed by their CLI names."""
+    prefs = build_preferences(inst, memory_cap_bytes=None)
+    return {
+        "gs-centers": solve_gs_centers(inst, prefs),
+        "gs-nodes": solve_gs_nodes(inst, prefs),
+        "circle": solve_circle_growing(inst),
+        "nnc": solve_nnc(inst),
+        "mutual": mutual_closest_run(inst).assignment,
+    }
 
 
 def brute_force_blocking_pairs(inst: Instance, match: list[int], table: list[list[float]]):

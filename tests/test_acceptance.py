@@ -23,51 +23,26 @@ from stabledistrict import (
     equal_quotas,
     generate_grid,
     run_bench,
-    solve_circle_growing,
-    solve_gs_centers,
-    solve_gs_nodes,
-    solve_nnc,
     verify_stable,
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
 from stabledistrict.circle import circle_growing_run
-from stabledistrict.gale_shapley import PAIR_ENTRY_BYTES, build_preferences
+from stabledistrict.gale_shapley import PAIR_ENTRY_BYTES
 from stabledistrict.nnc import mutual_closest_run
 from stabledistrict.cli import main as cli_main
 
 from helpers import (
-    acceptance_grid_instance,
+    N_EQUIVALENCE_CASES,
     least_squares_slope,
     random_sparse_instance,
     spearman,
 )
 
-N_EQUIVALENCE_CASES = 200
 SWEEP_K = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def equivalence_suite():
-    """All five solvers on the 200 seeded instances, plus stability data."""
-    started = time.perf_counter()
-    results = []
-    for i in range(N_EQUIVALENCE_CASES):
-        inst = acceptance_grid_instance(i)
-        prefs = build_preferences(inst, memory_cap_bytes=None)
-        assignments = {
-            "gs-centers": solve_gs_centers(inst, prefs),
-            "gs-nodes": solve_gs_nodes(inst, prefs),
-            "circle": solve_circle_growing(inst),
-            "nnc": solve_nnc(inst),
-            "mutual": mutual_closest_run(inst).assignment,
-        }
-        results.append((i, inst, assignments))
-    elapsed = time.perf_counter() - started
-    return results, elapsed
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stabledistrict import cli, compute_center_distances
 from stabledistrict.cli import main
 
 
@@ -150,6 +151,41 @@ def test_verify_quota_violation_exits_4(tmp_path, capsys):
     code = run(["verify", "--assignment", str(bad), "--centers", str(centers), str(graph)])
     assert code == 4
     assert "quota violation" in capsys.readouterr().out
+
+
+def test_verify_prints_the_full_row_verdict(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "grid.tsv"
+    assert run(["generate", "--grid", "20x20", "--jitter-seed", "7", "-o", str(graph)]) == 0
+    common = ["--random-centers", "12", "--seed", "3", str(graph)]
+    solved = tmp_path / "solved.tsv"
+    assert run(["solve", "--algo", "circle", "-o", str(solved)] + common) == 0
+    header, *lines = solved.read_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    other = next(i for i, r in enumerate(rows) if r[1] != rows[0][1])
+    swapped = [list(r) for r in rows]
+    swapped[0][1], swapped[other][1] = rows[other][1], rows[0][1]
+    # Node 0's whole district moves to another center, which leaves one empty.
+    broken = [[r[0], rows[other][1] if r[1] == rows[0][1] else r[1], r[2]] for r in rows]
+    paths = [solved]
+    for name, table in (("swapped.tsv", swapped), ("broken.tsv", broken)):
+        path = tmp_path / name
+        path.write_text("\n".join([header] + ["\t".join(r) for r in table]) + "\n")
+        paths.append(path)
+
+    def verify_all():
+        results = []
+        for path in paths:
+            capsys.readouterr()
+            code = run(["verify", "--assignment", str(path)] + common)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    bounded = verify_all()
+    monkeypatch.setattr(cli, "member_ball_distances", lambda inst, a: compute_center_distances(inst))
+    assert bounded == verify_all()
+    assert bounded[0] == (0, "STABLE\n")
+    assert bounded[1][0] == 4 and bounded[1][1].startswith("UNSTABLE blocking pair: node ")
+    assert bounded[2][0] == 4 and bounded[2][1].startswith("UNSTABLE quota violation: center ")
 
 
 def test_verify_id_mismatch_exits_1(grid_tsv, tmp_path, capsys):

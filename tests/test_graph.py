@@ -16,7 +16,7 @@ from stabledistrict import (
 )
 from stabledistrict.bench import generate_grid
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_float_instance, random_sparse_instance
 
 DIMACS_SMALL = """c three nodes, two arcs
 p sp 3 2
@@ -201,6 +201,33 @@ def test_dijkstra_relaxation_consistency_and_symmetry():
         for s in range(g.node_count):
             for t in range(g.node_count):
                 assert rows[s][t] == rows[t][s]
+
+
+def test_dijkstra_matches_networkx_full_and_with_targets():
+    nx = pytest.importorskip("networkx")
+    from stabledistrict.bench import SplitMix64
+
+    graphs = [generate_grid(3 + s % 7, 2 + s % 5, jitter_seed=s) for s in range(20)]
+    graphs += [random_sparse_instance(s).graph for s in range(20)]
+    graphs += [random_float_instance(s).graph for s in range(20)]
+    for seed, g in enumerate(graphs):
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.node_count))
+        ng.add_weighted_edges_from((u, v, w) for u in range(g.node_count) for v, w in g.adjacency[u])
+        rng = SplitMix64(seed)
+        for source in range(g.node_count):
+            full = dijkstra(g, source)
+            expected = nx.single_source_dijkstra_path_length(ng, source)
+            assert full == [expected[v] for v in range(g.node_count)]
+            targets = [rng.next_below(g.node_count) for _ in range(1 + rng.next_below(4))]
+            bounded = dijkstra(g, source, targets)
+            farthest = max(full[t] for t in targets)
+            for v in range(g.node_count):
+                if full[v] <= farthest:
+                    assert bounded[v] == full[v]
+                else:
+                    assert bounded[v] >= full[v] > farthest
+    assert dijkstra(path_graph(4), 1, []) == [math.inf, 0.0, math.inf, math.inf]
 
 
 def test_from_edges_rejects_bad_weights():

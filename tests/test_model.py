@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -14,8 +15,10 @@ from stabledistrict import (
     Score,
     assignment_summary,
     assignment_to_tsv,
+    RoadGraph,
     compute_center_distances,
     equal_quotas,
+    member_ball_distances,
     parse_assignment_tsv,
     solve_mutual_closest,
     verify_stable,
@@ -23,8 +26,10 @@ from stabledistrict import (
 
 from helpers import (
     acceptance_grid_instance,
+    all_solver_outputs,
     brute_force_blocking_pairs,
     path_graph,
+    random_float_instance,
     random_grid_instance,
     random_sparse_instance,
 )
@@ -170,6 +175,91 @@ def test_verify_stable_matches_brute_force_on_random_assignments():
             worst_dist=worst_dist,
         )
     assert blocked > 0
+
+
+def test_member_ball_rows_drain_the_tie_band_at_the_worst_member():
+    # Path 3 -1e16- 1 -1.0- 2 -1.0- 0 -3e16- 4 with centers 3 and 4. Since
+    # 1e16 + 1.0 == 1e16, nodes 2 and 0 tie with center 3's worst member 1,
+    # and are pushed only after node 1 is popped. Node 0 sorts below node 1,
+    # so (0, center 3) blocks at the tied distance: a search that stops once
+    # the last member settles leaves node 0 at inf and misses it.
+    assert 1e16 + 1.0 == 1e16
+    g = RoadGraph.from_edges(
+        [(3, 1, 1e16), (1, 2, 1.0), (2, 0, 1.0), (0, 4, 3e16)], node_ids=range(5)
+    )
+    inst = Instance(g, [3, 4], [2, 3])
+    a = Assignment(match=[1, 0, 1, 0, 1], dist=[0.0] * 5)
+    expected = BlockingPair(
+        node=0, center=0, pair_dist=1e16, current_dist=3e16, worst_node=1, worst_dist=1e16
+    )
+    assert verify_stable(inst, a, compute_center_distances(inst)) == expected
+    assert verify_stable(inst, a, member_ball_distances(inst, a)) == expected
+
+
+def _perturbed(match: list[int], k: int, rng) -> list[list[int]]:
+    """One, two and three random swaps of ``match``, and one node moved to
+    a random center (usually a quota violation)."""
+    n = len(match)
+    out = []
+    for swaps in (1, 2, 3):
+        m = list(match)
+        for _ in range(swaps):
+            u, v = rng.next_below(n), rng.next_below(n)
+            m[u], m[v] = m[v], m[u]
+        out.append(m)
+    moved = list(match)
+    moved[rng.next_below(n)] = rng.next_below(k)
+    out.append(moved)
+    return out
+
+
+def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
+    from stabledistrict.bench import SplitMix64
+
+    # The acceptance suite, dyadic grids and sparse graphs, and graphs with
+    # non-dyadic float weights down to 1e-9: every solver's output (stable
+    # on all of them) and perturbations of mutual's.
+    cases = [(inst, outputs) for _, inst, outputs in equivalence_suite[0]]
+    for seed in range(60):
+        for inst in (random_grid_instance(seed), random_sparse_instance(seed)):
+            cases.append((inst, all_solver_outputs(inst)))
+    for seed in range(300):
+        inst = random_float_instance(seed)
+        cases.append((inst, all_solver_outputs(inst)))
+    verdicts = {"stable": 0, "blocked": 0, "quota": 0}
+    for seed, (inst, outputs) in enumerate(cases):
+        full = compute_center_distances(inst)
+        solved = [a.match for a in outputs.values()]
+        for match in solved + _perturbed(outputs["mutual"].match, inst.k, SplitMix64(seed)):
+            a = Assignment(match=match, dist=[0.0] * len(match))
+            expected = verify_stable(inst, a, full)
+            assert expected is None or match not in solved, seed
+            assert verify_stable(inst, a, member_ball_distances(inst, a)) == expected, seed
+            if expected is None:
+                verdicts["stable"] += 1
+            else:
+                verdicts["blocked" if isinstance(expected, BlockingPair) else "quota"] += 1
+    assert sum(verdicts.values()) == 620 * 9
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_member_ball_distances_validates_like_verify_stable(p4):
+    dists = compute_center_distances(p4)
+    for match, message in (
+        ([0, 1, 1], "assignment covers 3 of 4 nodes"),
+        ([0, 1, 2, 0], "node 2 assigned to invalid center index 2"),
+        ([0, -1, 1, 0], "node 1 assigned to invalid center index -1"),
+    ):
+        a = Assignment(match=match, dist=[0.0] * len(match))
+        with pytest.raises(ValueError, match=message):
+            verify_stable(p4, a, dists)
+        with pytest.raises(ValueError, match=message):
+            member_ball_distances(p4, a)
+    # A center with no members searches nothing; the quota check fires first.
+    a = Assignment(match=[0, 0, 0, 0], dist=[0.0] * 4)
+    rows = member_ball_distances(p4, a)
+    assert rows == [dists[0], [math.inf, 0.0, math.inf, math.inf]]
+    assert verify_stable(p4, a, rows) == QuotaViolation(center=0, expected=2, actual=4)
 
 
 def test_assignment_tsv_roundtrip(p6):
