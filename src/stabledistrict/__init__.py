@@ -6,8 +6,8 @@ preferences. Because the preferences are symmetric and tie-broken into a
 strict total order, the stable solution is unique, and the package ships
 several independent solvers that all reach it: two deferred-acceptance
 variants over materialized preference tables, an interleaved
-circle-growing search, a nearest-neighbor chain over pluggable dynamic
-nearest-neighbor oracles, and a brute-force mutual-closest-pair
+circle-growing search, a nearest-neighbor chain over a pluggable dynamic
+nearest-neighbor oracle, and a brute-force mutual-closest-pair
 reference.
 """
 

@@ -214,8 +214,9 @@ def run_algorithm(
     """Run one solver by name; returns (assignment, work counter).
 
     Work counters: proposals for the deferred-acceptance solvers, settle
-    events for circle growing, oracle queries+updates for the chain
-    solver, heap pops for the mutual-closest reference.
+    events for circle growing, label queries (n at setup plus one per stale
+    label) plus the k center removals for the chain solver, heap pops for
+    the mutual-closest reference (equal to circle's settle events).
     """
     if name == "gs-centers":
         prefs = build_preferences(inst, memory_cap_bytes=memory_cap_bytes)

@@ -1,14 +1,15 @@
-"""Nearest-neighbor chain solver and its dynamic nearest-neighbor oracles,
+"""Nearest-neighbor chain solver and its dynamic nearest-neighbor oracle,
 plus the mutual-closest-pair reference solver used as the test oracle.
 
 The chain solver is generic over a ``DnnOracle``: any structure that keeps
-one side's active agents (unmatched nodes, or centers with remaining
-quota) and answers nearest-active queries from the other side under the
-Score total order. ``fast_oracle_factory`` is the default pair: per-node
-labels of the nearest open center, repaired locally when a center's quota
-fills, and a resumable explorer per center for nearest-unmatched-node
-queries. The solver's output is oracle-independent, so any other oracle
-answering the same queries gives the same matching.
+the centers with remaining quota and answers each node's nearest-open-center
+query under the Score total order. ``fast_oracle_factory`` builds the
+default one: per-node labels of the nearest open center, repaired locally
+when a center's quota fills. Because preferences are symmetric, the chain
+seeded at the lowest-label unmatched node folds at once, so the solver
+never asks a center for its nearest unmatched node. Its output is
+oracle-independent: any other oracle answering the same queries gives the
+same matching.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import (
     compute_center_distances,
 )
 
-Side = Literal["nodes", "centers"]
+Side = Literal["centers"]
 
 # Bytes held by the mutual-closest-pair solver. Per (center, node) pair: a
 # distance-table entry (a 24-byte boxed float and its 8-byte list slot)
@@ -52,14 +53,12 @@ class OracleError(RuntimeError):
 
 
 class DnnOracle(Protocol):
-    """Dynamic nearest-neighbor interface over one side of the matching.
+    """Dynamic nearest-neighbor interface over the centers.
 
-    ``nearest(q)`` returns ``(score, element)`` for the active element of
-    the maintained side minimizing the Score against query agent ``q`` of
-    the opposite side, or None if the active set is empty. ``remove(x)``
-    deactivates element ``x``; a removed element is never returned again.
-    Elements are node ids on the "nodes" side and center indices on the
-    "centers" side; queries are identified the opposite way.
+    ``nearest(q)`` returns ``(score, center index)`` for the active center
+    minimizing the Score against node ``q``, or None if no center is
+    active. ``remove(x)`` deactivates center index ``x``; a removed center
+    is never returned again.
     """
 
     def nearest(self, q: int) -> tuple[Score, int] | None: ...
@@ -170,67 +169,11 @@ class _CenterLabelOracle:
         assert not any(in_region[v] for v in region), "grow left unlabeled vertices"
 
 
-class _ResumingNodeOracle:
-    """Nodes-side oracle with one resumable Dijkstra explorer per center.
-
-    Matched nodes only ever leave the active set, so each center's
-    explorer keeps its last settled vertex and settles further only once
-    that vertex is deactivated, never rewinding. Total search work per
-    center is bounded by the ball it ever explores, which reaches just
-    past its farthest eventual member.
-    """
-
-    def __init__(self, inst: Instance):
-        self._adjacency = inst.graph.adjacency
-        self._centers = inst.centers
-        self._active = bytearray([1]) * inst.graph.node_count
-        self._alive = inst.graph.node_count
-        # center index -> [heap, dist, last settled (dist, node) or None]
-        self._explorers: dict[int, list] = {}
-
-    def nearest(self, q: int) -> tuple[Score, int] | None:
-        if self._alive == 0:
-            return None
-        state = self._explorers.get(q)
-        if state is None:
-            start = self._centers[q]
-            state = self._explorers[q] = [[(0.0, start)], {start: 0.0}, None]
-        heap, dist, current = state
-        active = self._active
-        adjacency = self._adjacency
-        while current is None or not active[current[1]]:
-            if not heap:
-                return None
-            d, v = current = heappop(heap)
-            if d > dist[v]:
-                current = None  # stale entry
-                continue
-            for nb, w in adjacency[v]:
-                nd = d + w
-                if nd < dist.get(nb, _INF):
-                    dist[nb] = nd
-                    heappush(heap, (nd, nb))
-        state[2] = current
-        d, v = current
-        return Score(d, v, q), v
-
-    def remove(self, x: int) -> None:
-        if self._active[x]:
-            self._active[x] = 0
-            self._alive -= 1
-
-
 def fast_oracle_factory(inst: Instance, side: Side) -> DnnOracle:
-    """Default DnnOracle pair: lazily repaired labels on the centers side,
-    resumable explorers on the nodes side."""
+    """Default DnnOracle: lazily repaired labels on the centers side."""
     if side == "centers":
         return _CenterLabelOracle(inst)
-    if side == "nodes":
-        return _ResumingNodeOracle(inst)
     raise ValueError(f"unknown side {side!r}")
-
-
-_NODE, _CENTER = 0, 1
 
 
 class NncRun(NamedTuple):
@@ -242,111 +185,54 @@ class NncRun(NamedTuple):
 
 
 def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncRun:
-    """Chain solver: walk nearest neighbors until the chain folds back.
+    """Chain solver seeded at the lowest-label unmatched node.
 
-    The stack alternates nodes and centers, each the nearest active agent
-    of its predecessor, with strictly decreasing consecutive scores. When
-    the top agent's nearest neighbor is already on the stack it must be
-    the second-from-top entry; the two form a mutual closest pair and are
-    matched. A center that keeps quota after a match stays on the stack
-    (it is still its predecessor's nearest neighbor). An empty stack is
-    reseeded with the lowest-id unmatched node.
+    Every unmatched node sits in a heap keyed by its label, the Score
+    against its nearest open center. Labels only get worse as centers
+    fill, so a top whose center is still open is the lowest-score live
+    pair, hence a mutual closest pair: the chain seeded at that node
+    folds at once into the match ``[node, center]``, and no center ever
+    searches for its nearest unmatched node. A top whose center is full
+    is re-queried and replaced. Each match is one chain of two pushes.
     """
     factory = oracle_factory if oracle_factory is not None else fast_oracle_factory
-    node_oracle = factory(inst, "nodes")
-    center_oracle = factory(inst, "centers")
+    oracle = factory(inst, "centers")
     n = inst.graph.node_count
+    heap: list[Score] = []
+    for u in range(n):
+        found = oracle.nearest(u)
+        if found is None:
+            raise OracleError("centers-side oracle empty while nodes are unmatched")
+        heap.append(found[0])
+    heapify(heap)
     match = [-1] * n
     dist_out = [0.0] * n
     remaining = list(inst.quotas)
-    stack: list[tuple[int, int]] = []
-    links: list[Score | None] = []  # score between entry i and entry i-1
-    on_stack_node = bytearray(n)
-    on_stack_center = bytearray(inst.k)
-    seed_ptr = 0
-    matched = 0
-    pushes = seeds = queries = updates = 0
-    while matched < n:
-        if not stack:
-            while match[seed_ptr] >= 0:
-                seed_ptr += 1
-            stack.append((_NODE, seed_ptr))
-            links.append(None)
-            on_stack_node[seed_ptr] = 1
-            seeds += 1
-            pushes += 1
+    queries = n
+    updates = 0
+    while heap:
+        d, u, ci = heap[0]
+        if remaining[ci] > 0:
+            heappop(heap)
+            match[u] = ci
+            dist_out[u] = d
+            remaining[ci] -= 1
+            if remaining[ci] == 0:
+                oracle.remove(ci)
+                updates += 1
             continue
-        side, agent = stack[-1]
-        if side == _NODE:
-            found = center_oracle.nearest(agent)
-            queries += 1
-            if found is None:
-                raise OracleError("centers-side oracle empty while nodes are unmatched")
-            score, ci = found
-            if remaining[ci] <= 0:
-                raise OracleError(f"centers-side oracle returned exhausted center {ci}")
-            if on_stack_center[ci]:
-                assert stack[-2] == (_CENTER, ci), "nearest in stack must be second-from-top"
-                # mutual closest pair: match the top node with this center
-                match[agent] = ci
-                dist_out[agent] = score.dist
-                matched += 1
-                node_oracle.remove(agent)
-                updates += 1
-                remaining[ci] -= 1
-                stack.pop()
-                links.pop()
-                on_stack_node[agent] = 0
-                if remaining[ci] == 0:
-                    center_oracle.remove(ci)
-                    updates += 1
-                    stack.pop()
-                    links.pop()
-                    on_stack_center[ci] = 0
-            else:
-                prev = links[-1]
-                assert prev is None or score < prev, "chain scores must strictly decrease"
-                stack.append((_CENTER, ci))
-                links.append(score)
-                on_stack_center[ci] = 1
-                pushes += 1
-        else:
-            found = node_oracle.nearest(agent)
-            queries += 1
-            if found is None:
-                raise OracleError("nodes-side oracle empty while quotas are unfilled")
-            score, v = found
-            if match[v] >= 0:
-                raise OracleError(f"nodes-side oracle returned matched node {v}")
-            if on_stack_node[v]:
-                assert stack[-2] == (_NODE, v), "nearest in stack must be second-from-top"
-                match[v] = agent
-                dist_out[v] = score.dist
-                matched += 1
-                node_oracle.remove(v)
-                updates += 1
-                remaining[agent] -= 1
-                stack.pop()  # the center on top
-                links.pop()
-                on_stack_center[agent] = 0
-                stack.pop()  # the matched node below it
-                links.pop()
-                on_stack_node[v] = 0
-                if remaining[agent] == 0:
-                    center_oracle.remove(agent)
-                    updates += 1
-            else:
-                prev = links[-1]
-                assert prev is None or score < prev, "chain scores must strictly decrease"
-                stack.append((_NODE, v))
-                links.append(score)
-                on_stack_node[v] = 1
-                pushes += 1
-    assert not stack, "stack must drain once every node is matched"
+        found = oracle.nearest(u)
+        queries += 1
+        if found is None:
+            raise OracleError("centers-side oracle empty while nodes are unmatched")
+        score, ci = found
+        if remaining[ci] <= 0:
+            raise OracleError(f"centers-side oracle returned exhausted center {ci}")
+        heapreplace(heap, score)
     return NncRun(
         assignment=Assignment(match=match, dist=dist_out),
-        stack_pushes=pushes,
-        seeds=seeds,
+        stack_pushes=2 * n,
+        seeds=n,
         oracle_queries=queries,
         oracle_updates=updates,
     )
@@ -375,9 +261,11 @@ def mutual_closest_run(
     pairs is always a mutual closest pair, so matching it greedily yields
     the unique stable solution. The full k x n distance table is
     materialized, each center's row is sorted into (dist, node) order, and
-    the k sorted rows are merged through a k-entry heap in Score order;
-    pairs whose node is matched or whose center is full are popped and
-    skipped. With ``check_steps`` every selected pair is verified
+    the k sorted rows are merged through a k-entry heap in Score order.
+    Pairs whose node is matched are popped and skipped, and a center's row
+    leaves the heap when its quota fills, so each center pops exactly its
+    ball up to its worst member: ``pops`` equals circle growing's
+    ``settled_total``. With ``check_steps`` every selected pair is verified
     mutual-closest by exhaustively scanning both sides' active partners
     (intended for small instances).
     """
@@ -400,22 +288,22 @@ def mutual_closest_run(
     pops = 0
     while len(order) < n:
         d, u, c = heap[0]
-        p = next_pos[c]
-        if p < n:
-            v = sorted_rows[c][p]
-            heapreplace(heap, (table[c][v], v, c))
-            next_pos[c] = p + 1
-        else:
-            heappop(heap)
         pops += 1
-        if match[u] >= 0 or remaining[c] == 0:
-            continue
-        if check_steps:
-            _check_mutual_closest(table, match, remaining, d, u, c)
-        match[u] = c
-        dist_out[u] = d
-        order.append((u, c))
-        remaining[c] -= 1
+        if match[u] < 0:
+            if check_steps:
+                _check_mutual_closest(table, match, remaining, d, u, c)
+            match[u] = c
+            dist_out[u] = d
+            order.append((u, c))
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                heappop(heap)
+                continue
+        # an open center's row always holds an unmatched node further on
+        p = next_pos[c]
+        v = sorted_rows[c][p]
+        heapreplace(heap, (table[c][v], v, c))
+        next_pos[c] = p + 1
     return MutualRun(assignment=Assignment(match=match, dist=dist_out), pops=pops, order=order)
 
 

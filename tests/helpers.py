@@ -169,7 +169,7 @@ def brute_force_blocking_pairs(inst: Instance, match: list[int], table: list[lis
 
 def reference_mutual_closest(inst: Instance):
     """The mutual-closest-pair loop over one heap of all n*k (dist, node,
-    center) triples; returns (match, dist, order, pops)."""
+    center) triples; returns (match, dist, order)."""
     n = inst.graph.node_count
     k = inst.k
     table = compute_center_distances(inst)
@@ -179,17 +179,15 @@ def reference_mutual_closest(inst: Instance):
     match = [-1] * n
     dist = [0.0] * n
     order = []
-    pops = 0
     while len(order) < n:
         d, u, c = heappop(heap)
-        pops += 1
         if match[u] >= 0 or remaining[c] == 0:
             continue
         match[u] = c
         dist[u] = d
         order.append((u, c))
         remaining[c] -= 1
-    return match, dist, order, pops
+    return match, dist, order
 
 
 def spearman(xs: list[float], ys: list[float]) -> float:
@@ -277,46 +275,10 @@ class _TruncatedCenterOracle:
             self._alive -= 1
 
 
-class _TruncatedNodeOracle:
-    """Baseline nodes-side oracle: fresh truncated Dijkstra per query center."""
-
-    def __init__(self, inst: Instance):
-        self._adjacency = inst.graph.adjacency
-        self._centers = inst.centers
-        self._active = bytearray([1]) * inst.graph.node_count
-        self._alive = inst.graph.node_count
-
-    def nearest(self, q: int) -> tuple[Score, int] | None:
-        if self._alive == 0:
-            return None
-        start = self._centers[q]
-        dist = {start: 0.0}
-        heap = [(0.0, start)]
-        while heap:
-            d, v = heappop(heap)
-            if d > dist[v]:
-                continue
-            if self._active[v]:
-                return Score(d, v, q), v
-            for nb, w in self._adjacency[v]:
-                nd = d + w
-                if nd < dist.get(nb, float("inf")):
-                    dist[nb] = nd
-                    heappush(heap, (nd, nb))
-        return None
-
-    def remove(self, x: int) -> None:
-        if self._active[x]:
-            self._active[x] = 0
-            self._alive -= 1
-
-
 def truncated_dijkstra_oracle(inst: Instance, side: Side) -> DnnOracle:
-    """Reference DnnOracle for the fast pair: every query runs a fresh
-    shortest-path search from the query agent, stopped at the first active
-    settle, with no state shared between queries."""
+    """Reference DnnOracle for the fast one: every query runs a fresh
+    shortest-path search from the query node, stopped at the first active
+    center, with no state shared between queries."""
     if side == "centers":
         return _TruncatedCenterOracle(inst)
-    if side == "nodes":
-        return _TruncatedNodeOracle(inst)
     raise ValueError(f"unknown side {side!r}")

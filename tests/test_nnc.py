@@ -13,6 +13,7 @@ from stabledistrict import (
     verify_stable,
 )
 from stabledistrict.bench import SplitMix64
+from stabledistrict.circle import circle_growing_run
 from stabledistrict.nnc import mutual_closest_run, nnc_run
 
 from helpers import (
@@ -34,16 +35,6 @@ def test_truncated_center_oracle_basics(p6):
     assert oracle.nearest(1) is None
 
 
-def test_truncated_node_oracle_basics(p6):
-    oracle = truncated_dijkstra_oracle(p6, "nodes")
-    assert oracle.nearest(0) == (Score(0.0, 0, 0), 0)
-    oracle.remove(0)
-    assert oracle.nearest(0) == (Score(1.0, 1, 0), 1)
-    for v in range(6):
-        oracle.remove(v)
-    assert oracle.nearest(0) is None
-
-
 def test_center_oracle_tie_prefers_lower_center_index():
     # centers listed so that the tie at node 2 must go to index 0 (= node 3),
     # even though node 1 has the smaller vertex id
@@ -55,45 +46,28 @@ def test_center_oracle_tie_prefers_lower_center_index():
         assert (score, ci) == (Score(1.0, 2, 0), 0)
 
 
-def test_node_oracle_tie_prefers_lower_node_id():
-    g = path_graph(5)
-    inst = Instance(g, [2], [5])
-    for factory in (truncated_dijkstra_oracle, fast_oracle_factory):
-        oracle = factory(inst, "nodes")
-        oracle.remove(2)
-        score, v = oracle.nearest(0)
-        assert (score, v) == (Score(1.0, 1, 0), 1)  # nodes 1 and 3 tie at d=1
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_fast_oracles_agree_with_truncated_under_fuzz(seed):
     for inst in (random_grid_instance(seed, max_side=6), random_sparse_instance(seed)):
         n, k = inst.graph.node_count, inst.k
         rng = SplitMix64(seed * 31 + 7)
-        slow_c = truncated_dijkstra_oracle(inst, "centers")
-        fast_c = fast_oracle_factory(inst, "centers")
-        slow_n = truncated_dijkstra_oracle(inst, "nodes")
-        fast_n = fast_oracle_factory(inst, "nodes")
-        removed_c: set[int] = set()
-        removed_n: set[int] = set()
+        slow = truncated_dijkstra_oracle(inst, "centers")
+        fast = fast_oracle_factory(inst, "centers")
+        removed: set[int] = set()
         for _ in range(120):
-            action = rng.next_below(4)
-            if action == 0 and len(removed_c) < k:
+            if rng.next_below(4) == 0 and len(removed) < k:
                 x = rng.next_below(k)
-                slow_c.remove(x)
-                fast_c.remove(x)
-                removed_c.add(x)
-            elif action == 1 and len(removed_n) < n:
-                x = rng.next_below(n)
-                slow_n.remove(x)
-                fast_n.remove(x)
-                removed_n.add(x)
-            elif action == 2:
-                q = rng.next_below(n)
-                assert slow_c.nearest(q) == fast_c.nearest(q)
+                slow.remove(x)
+                fast.remove(x)
+                removed.add(x)
             else:
-                q = rng.next_below(k)
-                assert slow_n.nearest(q) == fast_n.nearest(q)
+                q = rng.next_below(n)
+                assert slow.nearest(q) == fast.nearest(q)
+
+
+def test_fast_oracle_factory_has_no_nodes_side(p6):
+    with pytest.raises(ValueError, match="unknown side"):
+        fast_oracle_factory(p6, "nodes")
 
 
 def test_chain_solves_p6(p6):
@@ -108,32 +82,56 @@ def test_chain_matches_reference_with_both_factories(seed):
     slow = nnc_run(inst, truncated_dijkstra_oracle)
     assert fast.assignment == expected
     assert slow.assignment == expected
+    assert fast[1:] == slow[1:]
     n = inst.graph.node_count
-    assert fast.stack_pushes <= 2 * n + fast.seeds
-    assert fast.seeds >= 1
+    assert (fast.seeds, fast.stack_pushes, fast.oracle_updates) == (n, 2 * n, inst.k)
+    assert fast.oracle_queries >= n
 
 
-def test_broken_oracle_aborts(p6):
-    class LyingNodeOracle:
-        def __init__(self, inner):
-            self.inner = inner
-            self.matched: list[int] = []
+class _MisbehavingOracle:
+    """Wraps the label oracle; once a center fills, every query gets
+    ``answer(node, first filled center)``. Caps its calls so a solver that re-queries
+    forever fails instead of hanging."""
 
-        def nearest(self, q):
-            if self.matched:
-                return Score(0.0, self.matched[0], q), self.matched[0]
-            return self.inner.nearest(q)
+    def __init__(self, inst, answer):
+        self.inner = fast_oracle_factory(inst, "centers")
+        self.answer = answer
+        self.filled: list[int] = []
+        self.calls = 0
+        self.cap = 4 * inst.graph.node_count
 
-        def remove(self, x):
-            self.matched.append(x)
-            self.inner.remove(x)
+    def nearest(self, q):
+        self.calls += 1
+        assert self.calls <= self.cap, "solver kept querying a misbehaving oracle"
+        if self.filled:
+            return self.answer(q, self.filled[0])
+        return self.inner.nearest(q)
 
+    def remove(self, x):
+        self.filled.append(x)
+        self.inner.remove(x)
+
+
+# Center 0 (node 1) fills with node 1 while nodes 0 and 2 are still
+# labeled with it, so both need a re-query.
+_STALE_LABELS = Instance(path_graph(5), [1, 3], [1, 4])
+
+
+def test_broken_oracle_aborts():
+    # keeps naming the full center, so a loop that re-queries would spin
     def factory(inst, side):
-        inner = fast_oracle_factory(inst, side)
-        return LyingNodeOracle(inner) if side == "nodes" else inner
+        return _MisbehavingOracle(inst, lambda q, c: (Score(0.0, q, c), c))
 
-    with pytest.raises(OracleError, match="matched node"):
-        nnc_run(p6, factory)
+    with pytest.raises(OracleError, match="exhausted center"):
+        nnc_run(_STALE_LABELS, factory)
+
+
+def test_empty_oracle_aborts_while_nodes_are_unmatched():
+    def factory(inst, side):
+        return _MisbehavingOracle(inst, lambda q, c: None)
+
+    with pytest.raises(OracleError, match="empty while nodes are unmatched"):
+        nnc_run(_STALE_LABELS, factory)
 
 
 def test_mutual_closest_match_order(p4):
@@ -148,7 +146,7 @@ def test_mutual_closest_examples(p5, p6):
 
 
 def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
-    # The k-way merge of sorted rows must pop the same pairs in the same
+    # The k-way merge of sorted rows must match the same pairs in the same
     # order as one heap over all n*k (dist, node, center) triples.
     for seed in range(60):
         for inst in (
@@ -157,11 +155,13 @@ def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
             acceptance_grid_instance(seed),
         ):
             run = mutual_closest_run(inst)
-            match, dist, order, pops = reference_mutual_closest(inst)
+            match, dist, order = reference_mutual_closest(inst)
             assert run.assignment.match == match
             assert run.assignment.dist == dist
             assert run.order == order
-            assert run.pops == pops
+            # a full center's row leaves the merge, so each center pops
+            # exactly its ball up to its worst member
+            assert run.pops == circle_growing_run(inst).settled_total
 
 
 @pytest.mark.parametrize("seed", range(8))
