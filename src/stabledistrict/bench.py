@@ -227,7 +227,7 @@ def run_algorithm(
         run = gs_nodes_run(inst, prefs)
         return run.assignment, run.proposals
     if name == "circle":
-        run = circle_growing_run(inst, memory_cap_bytes=memory_cap_bytes, trace=trace)
+        run = circle_growing_run(inst, trace=trace)
         return run.assignment, run.settled_total
     if name == "nnc":
         run = nnc_run(inst)

@@ -10,9 +10,10 @@ is safe for concurrent reads.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 INF = math.inf
 
@@ -325,12 +326,41 @@ def largest_component(g: RoadGraph) -> RoadGraph:
     )
 
 
+def settle_stream(
+    adjacency: list[list[tuple[int, float]]], source: int, dist
+) -> Iterator[tuple[float, int]]:
+    """Dijkstra from ``source`` as a stream: yields each node it settles as
+    ``(d, v)``, in pop order. That is non-decreasing ``(d, v)`` order unless
+    rounding absorbs a weight (``d + w == d``), which can push a tied node
+    with a smaller id after a pop.
+
+    A binary heap with lazy deletion; stale entries are skipped. ``dist`` is
+    the caller's store of tentative distances, indexed by node, that reads
+    inf for a node not yet reached: a list, or a dict with that default.
+    A settled node's arcs are relaxed into it only when the stream is
+    resumed, so a consumer that stops after a yield never relaxes that node.
+    """
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        entry = heappop(heap)
+        d, u = entry
+        if d > dist[u]:
+            continue  # stale entry
+        yield entry
+        for v, w in adjacency[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+
+
 def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) -> list[float]:
-    """Single-source shortest paths with a binary heap and lazy deletion;
+    """Single-source shortest paths: ``settle_stream`` consumed into a list;
     distance per node, inf where unreachable.
 
     With ``targets``, the search stops once every target is settled and the
-    heap's next distance exceeds the farthest target's. The settled nodes
+    stream's next distance exceeds the farthest target's. The settled nodes
     are then exactly those at distance at most that one, and their entries
     equal a full search's: the pops so far are a prefix of its pops. Every
     other entry is inf or a tentative distance, never below the true one.
@@ -342,28 +372,22 @@ def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) ->
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range 0..{n - 1}")
     dist = [INF] * n
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    adjacency = g.adjacency
-    left = set(targets) if targets is not None else set()
-    # Pops beyond `stop` end the search: never for a full search; with
-    # targets every pop checks `left` until the last one settles, and from
-    # then on `stop` is its distance.
-    stop = INF if targets is None else -1.0
-    while heap:
-        d, u = heappop(heap)
-        if d > stop:
-            if not left:
-                break
-            if d == dist[u]:
-                left.discard(u)
-                if not left:
-                    stop = d
-        if d > dist[u]:
-            continue  # stale entry
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
+    stream = settle_stream(g.adjacency, source, dist)
+    if targets is None:
+        deque(stream, maxlen=0)
+        return dist
+    left = set(targets)
+    for t in left:
+        if not 0 <= t < n:
+            raise GraphError(f"target {t} out of range 0..{n - 1}")
+    if not left:
+        dist[source] = 0.0
+        return dist
+    for d, u in stream:
+        left.discard(u)
+        if not left:
+            break
+    for tied, _ in stream:
+        if tied > d:
+            break
     return dist

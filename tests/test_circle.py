@@ -6,16 +6,17 @@ import pytest
 
 from stabledistrict import (
     Instance,
-    MemoryCapExceeded,
+    compute_center_distances,
     solve_circle_growing,
     solve_mutual_closest,
 )
-from stabledistrict.circle import circle_growing_run, estimate_circle_bytes
+from stabledistrict.circle import circle_growing_run
 from stabledistrict.gale_shapley import build_preferences, gs_centers_run
 
 from helpers import (
     acceptance_grid_instance,
     path_graph,
+    random_float_instance,
     random_grid_instance,
     random_sparse_instance,
 )
@@ -90,11 +91,35 @@ def test_settles_equal_gs_centers_proposals():
     assert not mismatches
 
 
-def test_memory_cap_refusal(p6):
-    assert estimate_circle_bytes(1000, 8) == 8 * 125
-    with pytest.raises(MemoryCapExceeded):
-        circle_growing_run(p6, memory_cap_bytes=1)
-    circle_growing_run(p6, memory_cap_bytes=None)
+def test_each_center_settles_exactly_its_ball():
+    # A center halts at its last match w, so it settles exactly the nodes
+    # that score at or below w from it, each once: the ball of nodes v with
+    # (row[v], v) <= (row[w], w) in its full distance row.
+    wrong = []
+    for make in (
+        random_grid_instance,
+        random_sparse_instance,
+        acceptance_grid_instance,
+        random_float_instance,
+    ):
+        for seed in range(60):
+            inst = make(seed)
+            trace = io.StringIO()
+            circle_growing_run(inst, trace=trace)
+            settled: list[list[int]] = [[] for _ in range(inst.k)]
+            last = [-1] * inst.k
+            for line in trace.getvalue().splitlines():
+                event, center, node, _ = line.split("\t")
+                if event == "settle":
+                    settled[int(center)].append(int(node))
+                elif event == "match":
+                    last[int(center)] = int(node)
+            for c, row in enumerate(compute_center_distances(inst)):
+                w = last[c]
+                ball = {v for v in range(inst.graph.node_count) if (row[v], v) <= (row[w], w)}
+                if len(set(settled[c])) != len(settled[c]) or set(settled[c]) != ball:
+                    wrong.append((make.__name__, seed, c))
+    assert not wrong
 
 
 def test_trace_records_are_well_formed(p5):
@@ -118,8 +143,6 @@ def test_matches_the_reference_solver(seed):
 def test_each_match_is_the_global_minimum_open_pair(seed):
     # replay the trace: every match event must pick the minimum-score pair
     # among (unmatched node, unfilled center) pairs at that moment
-    from stabledistrict import compute_center_distances
-
     inst = random_grid_instance(seed, max_side=5)
     table = compute_center_distances(inst)
     trace = io.StringIO()

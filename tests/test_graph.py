@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import pytest
 
@@ -15,6 +16,7 @@ from stabledistrict import (
     write_tsv,
 )
 from stabledistrict.bench import generate_grid
+from stabledistrict.graph import settle_stream
 
 from helpers import cycle_graph, path_graph, random_float_instance, random_sparse_instance
 
@@ -187,6 +189,9 @@ def test_dijkstra_unreachable_is_inf():
 def test_dijkstra_source_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
         dijkstra(path_graph(3), 3)
+    for targets in ([1, 3], [-1]):
+        with pytest.raises(GraphError, match="out of range"):
+            dijkstra(path_graph(3), 0, targets)
 
 
 def test_dijkstra_relaxation_consistency_and_symmetry():
@@ -219,6 +224,12 @@ def test_dijkstra_matches_networkx_full_and_with_targets():
             full = dijkstra(g, source)
             expected = nx.single_source_dijkstra_path_length(ng, source)
             assert full == [expected[v] for v in range(g.node_count)]
+            settles = list(settle_stream(g.adjacency, source, [math.inf] * g.node_count))
+            assert sorted(v for _, v in settles) == sorted(expected)
+            assert all(d == expected[v] for d, v in settles)
+            assert settles == sorted(settles)
+            dict_store = defaultdict(lambda: math.inf)
+            assert list(settle_stream(g.adjacency, source, dict_store)) == settles
             targets = [rng.next_below(g.node_count) for _ in range(1 + rng.next_below(4))]
             bounded = dijkstra(g, source, targets)
             farthest = max(full[t] for t in targets)
