@@ -50,6 +50,7 @@ def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRu
     dist_out = [0.0] * n
     matched = 0
     settled_total = 0
+    pushed_total = 0
     last_key: tuple[float, int, int] = (0.0, -1, -1)
     while heap and matched < n:
         entry = heap[0]
@@ -69,18 +70,20 @@ def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRu
             if remaining[c] == 0:
                 if trace is not None:
                     trace.write(f"halt\t{c}\t{u}\t{d!r}\n")
-                heappop(heap)
-                continue
+                streams[c].close()  # unresumed: the last member is never relaxed
         step = next(streams[c], None)
         if step is None:
+            # Leaving the merge frees the center's search: only open centers hold a ball.
             heappop(heap)
+            pushed_total += len(balls[c])
+            balls[c] = streams[c] = None
         else:
             heapreplace(heap, step + (c,))
     assert matched == n, "connected instance must match every node"
     return CircleRun(
         assignment=Assignment(match=match, dist=dist_out),
         settled_total=settled_total,
-        pushed_total=sum(map(len, balls)),
+        pushed_total=pushed_total,
     )
 
 

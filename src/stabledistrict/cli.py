@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 from . import bench as bench_mod
 from .gale_shapley import DEFAULT_MEMORY_CAP_BYTES
@@ -24,12 +25,14 @@ from .model import (
     InstanceError,
     MemoryCapExceeded,
     QuotaViolation,
+    assignment_from_rows,
     assignment_summary_json,
     assignment_to_tsv,
     compute_center_distances,  # unused here; perfbench/spans.py wraps cli.compute_center_distances
     equal_quotas,
     member_ball_distances,
     parse_assignment_tsv,
+    read_assignment_rows,
     verify_stable,
 )
 from .render import render_geojson, render_svg
@@ -188,26 +191,16 @@ def cmd_bench(args) -> int:
 def cmd_render(args) -> int:
     g = _load_graph(args)
     with open(args.assignment, "r", encoding="utf-8") as fh:
-        rows = fh.read()
+        rows = read_assignment_rows(fh.read())
     # Reconstruct the instance from the assignment itself: centers are the
     # distinct assigned center ids (ascending), quotas their member counts.
-    center_ids: dict[int, int] = {}
-    for raw in rows.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("node_original_id"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError("malformed assignment row")
-        center_ids[int(parts[1])] = center_ids.get(int(parts[1]), 0) + 1
-    centers = []
-    for oid in sorted(center_ids):
+    members = dict(sorted(Counter(center_id for _, _, center_id, _ in rows).items()))
+    for oid in members:
         if not g.has_original_id(oid):
             raise ValueError(f"assignment center id {oid} not present in the graph")
-        centers.append(g.dense_id(oid))
-    quotas = [center_ids[oid] for oid in sorted(center_ids)]
-    inst = Instance(g, centers, quotas)
-    assignment = parse_assignment_tsv(rows, g, centers)
+    centers = [g.dense_id(oid) for oid in members]
+    inst = Instance(g, centers, list(members.values()))
+    assignment = assignment_from_rows(rows, g, centers)
     if args.output.endswith(".geojson") or args.output.endswith(".json"):
         _write_text(args.output, render_geojson(inst, assignment))
     else:

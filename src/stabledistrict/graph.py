@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import IO, Iterable, Iterator
 
 INF = math.inf
@@ -129,6 +130,7 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
     and `a <u> <v> <w>` arcs with 1-based node ids. Arcs are symmetrized
     and duplicates collapse to the minimum weight. `.co` lines are
     `v <id> <x> <y>`; when given, every node must receive a coordinate.
+    Without a `.co` file the header may declare at most 2a + 1 nodes for a arcs.
     """
     n_declared: int | None = None
     edges: list[tuple[int, int, float]] = []
@@ -140,6 +142,7 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
         if kind == "p":
             if n_declared is not None:
                 raise ParseError("duplicate problem header", line_no)
+            header_line = line_no
             if len(tokens) != 4 or tokens[1] != "sp":
                 raise ParseError("malformed problem header (expected 'p sp <n> <m>')", line_no)
             try:
@@ -170,6 +173,9 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
             raise ParseError(f"unrecognized line type {kind!r}", line_no)
     if n_declared is None:
         raise ParseError("missing problem header")
+    if co_stream is None and n_declared > 2 * len(edges) + 1:
+        raise ParseError(f"problem header declares {n_declared} nodes;"
+                         f" {len(edges)} arc line(s) allow at most {2 * len(edges) + 1}", header_line)
     coords = _parse_dimacs_coords(co_stream, n_declared) if co_stream is not None else None
     return RoadGraph.from_edges(edges, node_ids=range(1, n_declared + 1), coords=coords)
 
@@ -192,9 +198,8 @@ def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> dict[int,
         if node in coords:
             raise ParseError(f"duplicate coordinate for node {node}", line_no)
         coords[node] = (x, y)
-    missing = set(range(1, n_declared + 1)) - coords.keys()
-    if missing:
-        raise ParseError(f"node {min(missing)} has no coordinate")
+    if len(coords) < n_declared:
+        raise ParseError(f"node {next(v for v in count(1) if v not in coords)} has no coordinate")
     return coords
 
 

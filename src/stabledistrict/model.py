@@ -17,7 +17,7 @@ from itertools import compress
 from operator import le
 from typing import IO, NamedTuple
 
-from .graph import RoadGraph, dijkstra, is_connected
+from .graph import RoadGraph, _lines, dijkstra, is_connected
 
 
 class Score(NamedTuple):
@@ -264,39 +264,49 @@ def assignment_summary_json(inst: Instance, a: Assignment) -> str:
     return json.dumps(assignment_summary(inst, a), sort_keys=True, indent=2) + "\n"
 
 
-def parse_assignment_tsv(
-    stream: IO[str] | str, graph: RoadGraph, centers: list[int]
-) -> Assignment:
-    """Read an assignment TSV back against a graph and an ordered center list.
-
-    Raises ValueError when a row names a node or center unknown to the
-    graph, when a center id is not in ``centers``, or when node coverage
-    is incomplete or duplicated.
-    """
-    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
-    center_index = {graph.original_ids[c]: i for i, c in enumerate(centers)}
-    match: list[int | None] = [None] * graph.node_count
-    dist = [0.0] * graph.node_count
-    for row_no, raw in enumerate(lines):
+def read_assignment_rows(stream: IO[str] | str) -> list[tuple[int, int, int, float]]:
+    """An assignment TSV's data rows as (row number, node id, center id, distance).
+    Raises ValueError naming a row that is not three numeric tab-separated fields."""
+    rows = []
+    for row_no, raw in enumerate(_lines(stream), start=1):
         line = raw.strip()
         if not line or line.startswith("node_original_id"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ValueError(f"assignment row {row_no + 1}: expected 3 tab-separated fields")
-        node_orig, center_orig, d = int(parts[0]), int(parts[1]), float(parts[2])
+            raise ValueError(f"assignment row {row_no}: expected 3 tab-separated fields")
+        try:
+            rows.append((row_no, int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise ValueError(f"assignment row {row_no}: malformed fields") from None
+    return rows
+
+
+def assignment_from_rows(
+    rows: list[tuple[int, int, int, float]], graph: RoadGraph, centers: list[int]
+) -> Assignment:
+    """Resolve read_assignment_rows output against a graph and an ordered center list.
+    Raises ValueError for a node or center id unknown to the graph or to ``centers``,
+    and for incomplete or duplicated node coverage."""
+    center_index = {graph.original_ids[c]: i for i, c in enumerate(centers)}
+    match: list[int | None] = [None] * graph.node_count
+    dist = [0.0] * graph.node_count
+    for row_no, node_orig, center_orig, d in rows:
         if not graph.has_original_id(node_orig):
-            raise ValueError(f"assignment row {row_no + 1}: unknown node id {node_orig}")
+            raise ValueError(f"assignment row {row_no}: unknown node id {node_orig}")
         if center_orig not in center_index:
-            raise ValueError(f"assignment row {row_no + 1}: unknown center id {center_orig}")
+            raise ValueError(f"assignment row {row_no}: unknown center id {center_orig}")
         u = graph.dense_id(node_orig)
         if match[u] is not None:
-            raise ValueError(f"assignment row {row_no + 1}: duplicate node id {node_orig}")
+            raise ValueError(f"assignment row {row_no}: duplicate node id {node_orig}")
         match[u] = center_index[center_orig]
         dist[u] = d
-    missing = [i for i, c in enumerate(match) if c is None]
-    if missing:
-        raise ValueError(
-            f"assignment missing node id {graph.original_ids[missing[0]]}"
-        )
+    if None in match:
+        raise ValueError(f"assignment missing node id {graph.original_ids[match.index(None)]}")
     return Assignment(match=match, dist=dist)  # type: ignore[arg-type]
+
+
+def parse_assignment_tsv(stream: IO[str] | str, graph: RoadGraph, centers: list[int]) -> Assignment:
+    """Read an assignment TSV back against a graph and an ordered center list;
+    the errors are those of read_assignment_rows and assignment_from_rows."""
+    return assignment_from_rows(read_assignment_rows(stream), graph, centers)

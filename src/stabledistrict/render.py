@@ -34,10 +34,6 @@ class SvgOptions:
     palette: tuple[str, ...] = PALETTE
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) -> str:
     """SVG document with one path per district, a boundary path, and markers.
 
@@ -50,8 +46,7 @@ def render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) ->
         raise ValueError("graph has no coordinates; supply a .co file or #node lines")
     if opts is None:
         opts = SvgOptions()
-    xs = [p[0] for p in g.coords]
-    ys = [p[1] for p in g.coords]
+    xs, ys = zip(*g.coords)
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span_x = max_x - min_x or 1.0
@@ -60,33 +55,27 @@ def render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) ->
     scale = (opts.width - 2.0 * margin) / span_x
     height = span_y * scale + 2.0 * margin
 
-    def sx(x: float) -> float:
-        return margin + (x - min_x) * scale
-
-    def sy(y: float) -> float:
-        return margin + (max_y - y) * scale
-
+    # Each node's screen position is formatted once; edges and markers share it.
+    point = [
+        f"{margin + (x - min_x) * scale:.2f} {margin + (max_y - y) * scale:.2f}"
+        for x, y in g.coords
+    ]
+    match = a.match
     segments: dict[int, list[str]] = {}
     boundary: list[str] = []
-    for u in range(g.node_count):
-        x1, y1 = g.coords[u]
-        for v, _ in g.adjacency[u]:
+    for u, (arcs, pu, cu) in enumerate(zip(g.adjacency, point, match)):
+        for v, _ in arcs:
             if v < u:
                 continue
-            x2, y2 = g.coords[v]
-            d = (
-                f"M{_fmt(sx(x1))} {_fmt(sy(y1))}"
-                f" L{_fmt(sx(x2))} {_fmt(sy(y2))}"
-            )
-            if a.match[u] == a.match[v]:
-                segments.setdefault(a.match[u], []).append(d)
+            if cu == match[v]:
+                segments.setdefault(cu, []).append(f"M{pu} L{point[v]}")
             else:
-                boundary.append(d)
+                boundary.append(f"M{pu} L{point[v]}")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(opts.width)} {_fmt(height)}"'
-        f' width="{_fmt(opts.width)}" height="{_fmt(height)}">',
-        f'<g fill="none" stroke-width="{_fmt(opts.edge_width)}"'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {opts.width:.2f} {height:.2f}"'
+        f' width="{opts.width:.2f}" height="{height:.2f}">',
+        f'<g fill="none" stroke-width="{opts.edge_width:.2f}"'
         ' stroke-linecap="round">',
     ]
     for c in range(inst.k):
@@ -99,9 +88,9 @@ def render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) ->
     lines.append("</g>")
     lines.append('<g stroke="#000000" stroke-width="1.00">')
     for c, center_node in enumerate(inst.centers):
-        x, y = g.coords[center_node]
+        cx, cy = point[center_node].split(" ")
         lines.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(opts.marker_radius)}"'
+            f'<circle cx="{cx}" cy="{cy}" r="{opts.marker_radius:.2f}"'
             f' fill="{district_color(c, opts.palette)}"/>'
         )
     lines.append("</g>")

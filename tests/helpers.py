@@ -26,6 +26,7 @@ from stabledistrict import (
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
 from stabledistrict.nnc import DnnOracle, Side
+from stabledistrict.render import BOUNDARY_COLOR, SvgOptions, district_color
 
 
 def path_graph(n: int, weights: list[float] | None = None) -> RoadGraph:
@@ -188,6 +189,70 @@ def reference_mutual_closest(inst: Instance):
         order.append((u, c))
         remaining[c] -= 1
     return match, dist, order
+
+
+def reference_render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) -> str:
+    """The SVG map drawn edge by edge, each endpoint scaled and formatted
+    where it is used; render_svg must match it byte for byte."""
+    g = inst.graph
+    if opts is None:
+        opts = SvgOptions()
+    xs = [p[0] for p in g.coords]
+    ys = [p[1] for p in g.coords]
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
+    span_x = max_x - min_x or 1.0
+    span_y = max_y - min_y or 1.0
+    margin = opts.width * opts.margin_frac
+    scale = (opts.width - 2.0 * margin) / span_x
+    height = span_y * scale + 2.0 * margin
+
+    def fmt(value: float) -> str:
+        return f"{value:.2f}"
+
+    def sx(x: float) -> float:
+        return margin + (x - min_x) * scale
+
+    def sy(y: float) -> float:
+        return margin + (max_y - y) * scale
+
+    segments: dict[int, list[str]] = {}
+    boundary: list[str] = []
+    for u in range(g.node_count):
+        x1, y1 = g.coords[u]
+        for v, _ in g.adjacency[u]:
+            if v < u:
+                continue
+            x2, y2 = g.coords[v]
+            d = f"M{fmt(sx(x1))} {fmt(sy(y1))} L{fmt(sx(x2))} {fmt(sy(y2))}"
+            if a.match[u] == a.match[v]:
+                segments.setdefault(a.match[u], []).append(d)
+            else:
+                boundary.append(d)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {fmt(opts.width)} {fmt(height)}"'
+        f' width="{fmt(opts.width)}" height="{fmt(height)}">',
+        f'<g fill="none" stroke-width="{fmt(opts.edge_width)}" stroke-linecap="round">',
+    ]
+    for c in range(inst.k):
+        if c in segments:
+            lines.append(
+                f'<path stroke="{district_color(c, opts.palette)}" d="{" ".join(segments[c])}"/>'
+            )
+    if boundary:
+        lines.append(f'<path stroke="{BOUNDARY_COLOR}" d="{" ".join(boundary)}"/>')
+    lines.append("</g>")
+    lines.append('<g stroke="#000000" stroke-width="1.00">')
+    for c, center_node in enumerate(inst.centers):
+        x, y = g.coords[center_node]
+        lines.append(
+            f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="{fmt(opts.marker_radius)}"'
+            f' fill="{district_color(c, opts.palette)}"/>'
+        )
+    lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def spearman(xs: list[float], ys: list[float]) -> float:

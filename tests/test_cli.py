@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabledistrict
 from stabledistrict import cli, compute_center_distances
 from stabledistrict.cli import main
 
@@ -238,6 +244,18 @@ def test_render_svg_and_geojson(grid_tsv, tmp_path):
     assert svg2.read_bytes() == svg_path.read_bytes()
 
 
+@pytest.mark.parametrize("row", ["7\t0", "7\tnorth\t1.5"])
+def test_render_malformed_assignment_row_exits_1(grid_tsv, tmp_path, capsys, row):
+    out = tmp_path / "a.tsv"
+    assert run(["solve", "--algo", "circle", "--random-centers", "3", "-o", str(out), str(grid_tsv)]) == 0
+    lines = out.read_text().splitlines()
+    lines[4] = row
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["render", "--assignment", str(out), "-o", str(tmp_path / "m.svg"), str(grid_tsv)]) == 1
+    assert "assignment row 5:" in capsys.readouterr().err
+
+
 def test_render_dimacs_graph_with_coordinates(tmp_path):
     gr = tmp_path / "g.gr"
     gr.write_text("p sp 3 2\na 1 2 1\na 2 3 1\n")
@@ -282,3 +300,79 @@ def test_unknown_center_id_exits_2(grid_tsv, tmp_path, capsys):
     code = run(["solve", "--algo", "circle", "--centers", str(centers), str(grid_tsv)])
     assert code == 2
     assert "not present" in capsys.readouterr().err
+
+
+# Malformed invocations: (case id, files to write, argv). "{d}" in an
+# argument is the case's directory, which holds a 5x5 grid as g.tsv and
+# its equal-quota circle assignment as a.tsv.
+AUDIT_CASES = [
+    ("bad-graph", {"x.tsv": "0 1 one\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/x.tsv"]),
+    ("empty-graph", {"x.tsv": ""}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/x.tsv"]),
+    ("binary-graph", {"x.tsv": b"\x00\xff\xfe\x80binary"}, ["solve", "--algo", "nnc", "--random-centers", "2", "{d}/x.tsv"]),
+    ("missing-graph", {}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/none.tsv"]),
+    ("empty-dimacs", {"x.gr": ""}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
+    ("dimacs-bad-arc", {"x.gr": "p sp 3 1\na 1 2\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
+    ("dimacs-huge-header", {"x.gr": "p sp 99999999999 1\na 1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
+    ("dimacs-huge-header-co", {"x.gr": "p sp 99999999999 1\na 1 2 1\n", "x.co": "v 1 0 0\nv 2 1 0\n"}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/x.gr", "{d}/x.co"]),
+    ("dimacs-missing-coordinate", {"x.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "x.co": "v 1 0 0\nv 3 2 0\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr", "{d}/x.co"]),
+    ("missing-coordinates-file", {"x.gr": "p sp 2 1\na 1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr", "{d}/none.co"]),
+    ("zero-weight", {"x.tsv": "0 1 0\n1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("negative-weight", {"x.tsv": "0 1 -2\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("nan-weight", {"x.tsv": "0 1 nan\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("inf-weight", {"x.tsv": "0 1 inf\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("self-loop", {"x.tsv": "3 3 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("disconnected", {"x.tsv": "0 1 1\n2 3 1\n"}, ["solve", "--algo", "gs-nodes", "--random-centers", "2", "{d}/x.tsv"]),
+    ("k-zero", {}, ["solve", "--algo", "circle", "--random-centers", "0", "{d}/g.tsv"]),
+    ("k-negative", {}, ["solve", "--algo", "mutual", "--random-centers", "-3", "{d}/g.tsv"]),
+    ("k-above-n", {}, ["solve", "--algo", "circle", "--random-centers", "26", "{d}/g.tsv"]),
+    ("centers-not-ints", {"c.txt": "0\nfive\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
+    ("centers-duplicate", {"c.txt": "0\n0\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
+    ("centers-missing-file", {}, ["solve", "--algo", "circle", "--centers", "{d}/none.txt", "{d}/g.tsv"]),
+    ("quotas-wrong-count", {"q.txt": "25\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-zero", {"q.txt": "25\n0\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-not-ints", {"q.txt": "12.5\n12.5\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-binary", {"q.txt": b"\xff\xfe\x00"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("memory-cap", {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
+    ("grid-one-dimension", {}, ["generate", "--grid", "4"]),
+    ("grid-not-ints", {}, ["generate", "--grid", "axb"]),
+    ("grid-zero", {}, ["generate", "--grid", "0x5"]),
+    ("bench-bad-grid", {}, ["bench", "--grid", "3", "--k", "2", "--runs", "1"]),
+    ("bench-k-zero", {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
+    ("bench-unknown-algorithm", {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
+    ("verify-empty-assignment", {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("verify-binary-assignment", {"e.tsv": b"\x80\x81\x00"}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("verify-missing-assignment", {}, ["verify", "--assignment", "{d}/none.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("render-empty-assignment", {"e.tsv": ""}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
+    ("render-unknown-center", {"e.tsv": "0\t99\t0.0\n"}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
+    ("unwritable-solve-output", {}, ["solve", "--algo", "circle", "--random-centers", "2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
+    ("output-is-a-directory", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
+    ("unwritable-generate-output", {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
+]
+
+AUDIT_MEMORY_LIMIT = 1 << 30
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (AUDIT_MEMORY_LIMIT, AUDIT_MEMORY_LIMIT))
+
+
+@pytest.mark.parametrize("files, argv", [c[1:] for c in AUDIT_CASES], ids=[c[0] for c in AUDIT_CASES])
+def test_malformed_invocation_exits_with_one_error_line(tmp_path, files, argv):
+    # Each case runs in its own process under a 1 GiB address-space limit,
+    # so input that makes the CLI allocate by a declared size fails fast.
+    assert main(["generate", "--grid", "5x5", "-o", str(tmp_path / "g.tsv")]) == 0
+    grid = ["--random-centers", "5", str(tmp_path / "g.tsv")]
+    assert main(["solve", "--algo", "circle", "-o", str(tmp_path / "a.tsv")] + grid) == 0
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    src = str(Path(stabledistrict.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabledistrict.cli"] + [a.replace("{d}", str(tmp_path)) for a in argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
+    )
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode in (1, 2, 3), proc.stderr
+    assert len(errors) == 1 and proc.stderr.endswith(errors[0] + "\n"), proc.stderr
+    assert "Traceback" not in proc.stderr

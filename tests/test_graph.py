@@ -60,6 +60,8 @@ def test_parse_dimacs_collapses_parallel_edges_to_min():
         ("p sp 3 1\na 2 2 1\n", "self-loop", 2),
         ("p sp 0 0\n", "positive", 1),
         ("q sp 3 2\n", "unrecognized", 1),
+        ("c big\np sp 4 1\na 1 2 5\n", "at most 3", 2),
+        ("p sp 99999999999 1\na 1 2 1\n", "declares 99999999999 nodes", 1),
     ],
 )
 def test_parse_dimacs_errors_name_the_line(text, fragment, line):
@@ -67,6 +69,12 @@ def test_parse_dimacs_errors_name_the_line(text, fragment, line):
         parse_dimacs(text)
     assert fragment in str(err.value)
     assert f"line {line}" in str(err.value)
+
+
+def test_parse_dimacs_declared_nodes_without_arcs_are_isolated():
+    assert parse_dimacs("p sp 1 0\n").node_count == 1
+    g = parse_dimacs("p sp 5 2\na 1 2 1\na 3 4 1\n")
+    assert g.node_count == 5 and g.adjacency[4] == []
 
 
 def test_parse_dimacs_missing_header():
@@ -86,7 +94,7 @@ def test_parse_dimacs_coordinate_for_unknown_node():
 
 
 def test_parse_dimacs_incomplete_coordinates():
-    with pytest.raises(ParseError, match="no coordinate"):
+    with pytest.raises(ParseError, match="node 2 has no coordinate"):
         parse_dimacs(DIMACS_SMALL, "v 1 0 0\n")
 
 

@@ -7,12 +7,17 @@ import pytest
 from stabledistrict import (
     Instance,
     RoadGraph,
+    equal_quotas,
+    parse_dimacs,
     render_geojson,
     render_svg,
+    solve_circle_growing,
     solve_mutual_closest,
 )
-from stabledistrict.bench import generate_grid
+from stabledistrict.bench import SplitMix64, generate_grid, sample_centers
 from stabledistrict.render import PALETTE, SvgOptions, district_color
+
+from helpers import random_grid_instance, reference_render_svg
 
 
 def _p3_with_coords():
@@ -73,6 +78,47 @@ def test_svg_options_control_size():
     inst = Instance(g, [1], [3])
     svg = render_svg(inst, solve_mutual_closest(inst), SvgOptions(width=500.0))
     assert 'viewBox="0 0 500.00' in svg
+
+
+def test_svg_bytes_match_the_edge_by_edge_reference():
+    for seed in range(60):
+        inst = random_grid_instance(seed)
+        a = solve_circle_growing(inst)
+        assert render_svg(inst, a) == reference_render_svg(inst, a), seed
+
+
+def _dimacs_with_coordinates(w: int, h: int, seed: int) -> tuple[str, str]:
+    """A w x h grid in DIMACS form with irregular microdegree coordinates."""
+    rng = SplitMix64(seed)
+    arcs = []
+    for y in range(h):
+        for x in range(w):
+            u = y * w + x + 1
+            for v, ok in ((u + 1, x + 1 < w), (u + w, y + 1 < h)):
+                if ok:
+                    arcs.append(f"a {u} {v} {1 + rng.next_below(100)}")
+    gr = f"p sp {w * h} {len(arcs)}\n" + "\n".join(arcs) + "\n"
+    co = "".join(
+        f"v {y * w + x + 1} {-73990000 + 1000 * x + rng.next_below(700)}"
+        f" {40700000 + 1000 * y + rng.next_below(700)}\n"
+        for y in range(h) for x in range(w)
+    )
+    return gr, co
+
+
+def test_svg_bytes_match_the_reference_on_dimacs_coordinates_and_options():
+    gr, co = _dimacs_with_coordinates(9, 7, 3)
+    g = parse_dimacs(gr, co)
+    inst = Instance(g, sample_centers(g.node_count, 5, 11), equal_quotas(g.node_count, 5))
+    a = solve_circle_growing(inst)
+    assert render_svg(inst, a) == reference_render_svg(inst, a)
+    opts = SvgOptions(
+        width=640.0, margin_frac=0.05, edge_width=1.5, marker_radius=3.25,
+        palette=("#112233", "#445566", "#778899"),
+    )
+    svg = render_svg(inst, a, opts)
+    assert svg == reference_render_svg(inst, a, opts)
+    assert 'viewBox="0 0 640.00' in svg and 'r="3.25"' in svg
 
 
 def test_palette_has_enough_distinct_colors():
