@@ -305,33 +305,34 @@ def test_unknown_center_id_exits_2(grid_tsv, tmp_path, capsys):
 # Malformed invocations: (case id, files to write, argv). "{d}" in an
 # argument is the case's directory, which holds a 5x5 grid as g.tsv and
 # its equal-quota circle assignment as a.tsv.
+CIRCLE = ["solve", "--algo", "circle", "--random-centers"]
 AUDIT_CASES = [
-    ("bad-graph", {"x.tsv": "0 1 one\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/x.tsv"]),
-    ("empty-graph", {"x.tsv": ""}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/x.tsv"]),
+    ("bad-graph", {"x.tsv": "0 1 one\n"}, CIRCLE + ["2", "{d}/x.tsv"]),
+    ("empty-graph", {"x.tsv": ""}, CIRCLE + ["2", "{d}/x.tsv"]),
     ("binary-graph", {"x.tsv": b"\x00\xff\xfe\x80binary"}, ["solve", "--algo", "nnc", "--random-centers", "2", "{d}/x.tsv"]),
-    ("missing-graph", {}, ["solve", "--algo", "circle", "--random-centers", "2", "{d}/none.tsv"]),
-    ("empty-dimacs", {"x.gr": ""}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
-    ("dimacs-bad-arc", {"x.gr": "p sp 3 1\na 1 2\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
-    ("dimacs-huge-header", {"x.gr": "p sp 99999999999 1\na 1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr"]),
+    ("missing-graph", {}, CIRCLE + ["2", "{d}/none.tsv"]),
+    ("empty-dimacs", {"x.gr": ""}, CIRCLE + ["1", "{d}/x.gr"]),
+    ("dimacs-bad-arc", {"x.gr": "p sp 3 1\na 1 2\n"}, CIRCLE + ["1", "{d}/x.gr"]),
+    ("dimacs-huge-header", {"x.gr": "p sp 99999999999 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr"]),
     ("dimacs-huge-header-co", {"x.gr": "p sp 99999999999 1\na 1 2 1\n", "x.co": "v 1 0 0\nv 2 1 0\n"}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/x.gr", "{d}/x.co"]),
-    ("dimacs-missing-coordinate", {"x.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "x.co": "v 1 0 0\nv 3 2 0\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr", "{d}/x.co"]),
-    ("missing-coordinates-file", {"x.gr": "p sp 2 1\na 1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.gr", "{d}/none.co"]),
-    ("zero-weight", {"x.tsv": "0 1 0\n1 2 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
-    ("negative-weight", {"x.tsv": "0 1 -2\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
-    ("nan-weight", {"x.tsv": "0 1 nan\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
-    ("inf-weight", {"x.tsv": "0 1 inf\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
-    ("self-loop", {"x.tsv": "3 3 1\n"}, ["solve", "--algo", "circle", "--random-centers", "1", "{d}/x.tsv"]),
+    ("dimacs-missing-coordinate", {"x.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "x.co": "v 1 0 0\nv 3 2 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
+    ("missing-coordinates-file", {"x.gr": "p sp 2 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/none.co"]),
+    ("zero-weight", {"x.tsv": "0 1 0\n1 2 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("negative-weight", {"x.tsv": "0 1 -2\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("nan-weight", {"x.tsv": "0 1 nan\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("inf-weight", {"x.tsv": "0 1 inf\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("self-loop", {"x.tsv": "3 3 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
     ("disconnected", {"x.tsv": "0 1 1\n2 3 1\n"}, ["solve", "--algo", "gs-nodes", "--random-centers", "2", "{d}/x.tsv"]),
-    ("k-zero", {}, ["solve", "--algo", "circle", "--random-centers", "0", "{d}/g.tsv"]),
+    ("k-zero", {}, CIRCLE + ["0", "{d}/g.tsv"]),
     ("k-negative", {}, ["solve", "--algo", "mutual", "--random-centers", "-3", "{d}/g.tsv"]),
-    ("k-above-n", {}, ["solve", "--algo", "circle", "--random-centers", "26", "{d}/g.tsv"]),
+    ("k-above-n", {}, CIRCLE + ["26", "{d}/g.tsv"]),
     ("centers-not-ints", {"c.txt": "0\nfive\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
     ("centers-duplicate", {"c.txt": "0\n0\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
     ("centers-missing-file", {}, ["solve", "--algo", "circle", "--centers", "{d}/none.txt", "{d}/g.tsv"]),
-    ("quotas-wrong-count", {"q.txt": "25\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-zero", {"q.txt": "25\n0\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-not-ints", {"q.txt": "12.5\n12.5\n"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-binary", {"q.txt": b"\xff\xfe\x00"}, ["solve", "--algo", "circle", "--random-centers", "2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-wrong-count", {"q.txt": "25\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-zero", {"q.txt": "25\n0\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-not-ints", {"q.txt": "12.5\n12.5\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-binary", {"q.txt": b"\xff\xfe\x00"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
     ("memory-cap", {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
     ("grid-one-dimension", {}, ["generate", "--grid", "4"]),
     ("grid-not-ints", {}, ["generate", "--grid", "axb"]),
@@ -344,7 +345,7 @@ AUDIT_CASES = [
     ("verify-missing-assignment", {}, ["verify", "--assignment", "{d}/none.tsv", "--random-centers", "2", "{d}/g.tsv"]),
     ("render-empty-assignment", {"e.tsv": ""}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
     ("render-unknown-center", {"e.tsv": "0\t99\t0.0\n"}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
-    ("unwritable-solve-output", {}, ["solve", "--algo", "circle", "--random-centers", "2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
+    ("unwritable-solve-output", {}, CIRCLE + ["2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
     ("output-is-a-directory", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
     ("unwritable-generate-output", {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
 ]
@@ -364,10 +365,12 @@ def test_malformed_invocation_exits_with_one_error_line(tmp_path, files, argv):
     grid = ["--random-centers", "5", str(tmp_path / "g.tsv")]
     assert main(["solve", "--algo", "circle", "-o", str(tmp_path / "a.tsv")] + grid) == 0
     for name, content in files.items():
-        path = tmp_path / name
-        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     src = str(Path(stabledistrict.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "stabledistrict.cli"] + [a.replace("{d}", str(tmp_path)) for a in argv],
         capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
