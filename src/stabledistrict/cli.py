@@ -12,6 +12,7 @@ nondeterministic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -106,7 +107,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the error that writing ``path`` would raise, but write nothing.
+
+    A file this check creates is removed again, so a run that fails later
+    leaves no new file, and an existing one keeps its bytes.
+    """
+    if path is None or path == "-":
+        return
+    created = not os.path.lexists(path)
+    open(path, "a").close()
+    if created:
+        os.remove(path)
+
+
 def cmd_solve(args) -> int:
+    _check_writable(args.output)  # before the solve, which an unwritable path would waste
+    _check_writable(args.summary)
     g = _load_graph(args)
     centers = _resolve_centers(args, g)
     quotas = _resolve_quotas(args, g, len(centers))

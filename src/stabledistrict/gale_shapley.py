@@ -1,11 +1,14 @@
 """Deferred-acceptance solvers over fully materialized preference tables.
 
-Both variants first run one shortest-path pass per center and sort the
-resulting k x n score table into explicit preference lists, so memory is
-Theta(n*k). Because that wall is a real failure mode on large inputs,
-``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
-when the estimated table size exceeds a configurable byte budget, instead
-of crashing mid-run; pass ``memory_cap_bytes=None`` to override.
+Both variants first run one shortest-path pass per center into a k x n
+score table, so memory is Theta(n*k). Each side's preference lists are
+sorted from that table on first use: the center-proposing run reads only
+the centers' lists and the node-proposing run only the nodes', so neither
+pays for the other side's sort. Because the table is a real failure mode
+on large inputs, ``build_preferences`` refuses up front (raising
+``MemoryCapExceeded``) when the estimated size of the table and both
+sides' lists exceeds a configurable byte budget, instead of crashing
+mid-run; pass ``memory_cap_bytes=None`` to override.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -20,12 +24,14 @@ from .model import Assignment, Instance, MemoryCapExceeded, compute_center_dista
 
 # Bytes per (center, node) pair while the tables are built: the distance
 # row's 24-byte boxed float and 8-byte list slot, its 8-byte array copy,
-# and a 4-byte id in each side's preference array.
+# and a 4-byte id in each side's preference array. Each side is sorted
+# only when first read, but a caller may read both (the cross-checks do),
+# so the estimate prices both: the cap must bound what one table can hold.
 PAIR_ENTRY_BYTES = 48
 # Bytes per array row (an 80-byte array header plus its list slot, rounded
 # up). Each node owns one preference row; each center owns a distance
 # list, a distance array and a preference array, and a fourth row stands
-# for the k-long scratch lists of one node's sort.
+# for the k-long column tuple and scratch list of one node's sort.
 ROW_BYTES = 96
 DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3
 
@@ -36,7 +42,7 @@ def estimate_preference_bytes(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class PreferenceTables:
-    """Sorted preference lists for both sides plus the k x n distance table.
+    """The k x n distance table, with each side's sorted lists built on first read.
 
     center_prefs[c] ranks all nodes for center c, best first; node_prefs[u]
     ranks all center indices for node u. Both orders are strict under the
@@ -44,9 +50,18 @@ class PreferenceTables:
     or center index (node side).
     """
 
-    center_prefs: list[array]
-    node_prefs: list[array]
     dist: list[array]
+
+    # Stable sorts over an index range break distance ties by id/index,
+    # which is exactly the Score order with the first component fixed.
+    @cached_property
+    def center_prefs(self) -> list[array]:
+        return [array("i", sorted(range(len(row)), key=row.__getitem__)) for row in self.dist]
+
+    @cached_property
+    def node_prefs(self) -> list[array]:
+        centers = range(len(self.dist))
+        return [array("i", sorted(centers, key=column.__getitem__)) for column in zip(*self.dist)]
 
 
 class GsRun(NamedTuple):
@@ -57,7 +72,7 @@ class GsRun(NamedTuple):
 def build_preferences(
     inst: Instance, memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES
 ) -> PreferenceTables:
-    """Run one Dijkstra per center and sort both sides' preference lists."""
+    """Run one Dijkstra per center; each side's lists are sorted on first read."""
     n = inst.graph.node_count
     k = inst.k
     required = estimate_preference_bytes(n, k)
@@ -68,16 +83,7 @@ def build_preferences(
     for c in range(k):
         dist.append(array("d", rows[c]))
         rows[c] = None  # free each boxed row once its array copy exists
-    # Stable sorts over an index range break distance ties by id/index,
-    # which is exactly the Score order with the first component fixed.
-    center_prefs = [
-        array("i", sorted(range(n), key=dist[c].__getitem__)) for c in range(k)
-    ]
-    node_prefs = []
-    for u in range(n):
-        column = [dist[c][u] for c in range(k)]
-        node_prefs.append(array("i", sorted(range(k), key=column.__getitem__)))
-    return PreferenceTables(center_prefs=center_prefs, node_prefs=node_prefs, dist=dist)
+    return PreferenceTables(dist=dist)
 
 
 def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
@@ -91,6 +97,7 @@ def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     n = inst.graph.node_count
     k = inst.k
     dist = prefs.dist
+    center_prefs = prefs.center_prefs
     slots = list(inst.quotas)
     pointer = [0] * k
     cur_center = [-1] * n
@@ -101,7 +108,7 @@ def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     while active:
         c = active.popleft()
         queued[c] = False
-        pref_row = prefs.center_prefs[c]
+        pref_row = center_prefs[c]
         dist_row = dist[c]
         p = pointer[c]
         while slots[c] > 0:
@@ -137,6 +144,7 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     """
     n = inst.graph.node_count
     dist = prefs.dist
+    node_prefs = prefs.node_prefs
     slots = list(inst.quotas)
     pointer = [0] * n
     cur_center = [-1] * n
@@ -148,7 +156,7 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
         u = free.pop()
         p = pointer[u]
         assert p < inst.k, "node exhausted its list while unmatched"
-        c = prefs.node_prefs[u][p]
+        c = node_prefs[u][p]
         pointer[u] = p + 1
         proposals += 1
         d = dist[c][u]

@@ -19,6 +19,7 @@ from stabledistrict import (
     equal_quotas,
     generate_grid,
     mutual_closest_run,
+    parse_dimacs,
     solve_circle_growing,
     solve_gs_centers,
     solve_gs_nodes,
@@ -107,6 +108,43 @@ def random_float_instance(seed: int, max_n: int = 40) -> Instance:
     centers = sample_centers(n, k, derive_seed(seed, 0xF2))
     quotas = random_quotas(n, k, rng) if seed % 2 else equal_quotas(n, k)
     return Instance(g, centers, quotas)
+
+
+def zipf_quotas(n: int, k: int) -> list[int]:
+    """q_i = max(1, floor(n / ((i+1) * H_k))); the remainder goes to center 0."""
+    h = sum(1.0 / (i + 1) for i in range(k))
+    quotas = [max(1, int(n / ((i + 1) * h))) for i in range(k)]
+    quotas[0] += n - sum(quotas)
+    assert quotas[0] >= 1, (n, k)
+    return quotas
+
+
+def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
+    """Random connected graph read from DIMACS text with integer weights 1-100.
+
+    Every edge is written as two arcs, one per direction, in shuffled order,
+    so the graph goes through ``parse_dimacs``' symmetrizing. The few weight
+    values make exact distance ties common; quotas follow a Zipf law.
+    """
+    rng = SplitMix64(derive_seed(seed, 0xF3))
+    n = 2 + rng.next_below(max_n - 1)
+    pairs = [(rng.next_below(v), v) for v in range(1, n)]
+    for _ in range(rng.next_below(n + 1)):
+        u, v = rng.next_below(n), rng.next_below(n)
+        if u != v:
+            pairs.append((u, v))
+    arcs = []
+    for u, v in pairs:
+        w = 1 + rng.next_below(100)
+        arcs += [f"a {u + 1} {v + 1} {w}", f"a {v + 1} {u + 1} {w}"]
+    for i in range(len(arcs) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        arcs[i], arcs[j] = arcs[j], arcs[i]
+    g = parse_dimacs("\n".join([f"p sp {n} {len(arcs)}"] + arcs) + "\n")
+    # At k <= n/2 the Zipf quotas fit n for every n here (center 0 keeps >= 1).
+    k = 1 + rng.next_below(min(max(1, n // 2), 8))
+    centers = sample_centers(n, k, derive_seed(seed, 0xF4))
+    return Instance(g, centers, zipf_quotas(n, k))
 
 
 N_EQUIVALENCE_CASES = 200

@@ -95,6 +95,37 @@ def test_solve_memory_refusal_exits_3(grid_tsv, capsys):
     assert "memory cap" in capsys.readouterr().err
 
 
+def test_unwritable_solve_output_fails_before_the_solve(grid_tsv, tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli.bench_mod, "run_algorithm", lambda *args, **kw: solves.append(args))
+    fresh = tmp_path / "fresh.tsv"
+    argv = ["solve", "--algo", "circle", "--random-centers", "6", "--seed", "1", str(grid_tsv)]
+    for outputs in (["-o", str(tmp_path)], ["-o", str(fresh), "--summary", str(tmp_path)]):
+        assert run(argv + outputs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not solves
+    assert not fresh.exists()
+
+
+def test_failed_solve_leaves_its_outputs_as_they_were(grid_tsv, tmp_path, capsys):
+    kept = tmp_path / "kept.tsv"
+    kept.write_text("old bytes\n")
+    fresh = tmp_path / "fresh.json"
+    solve = ["solve", "--algo", "gs-centers", "--random-centers", "6", "--seed", "1", str(grid_tsv)]
+    argv = solve + ["-o", str(kept), "--summary", str(fresh)]
+    assert run(argv + ["--memory-cap", "10"]) == 3
+    assert run(argv + ["--quotas", str(tmp_path / "none.txt")]) == 1
+    quotas = tmp_path / "q.txt"
+    quotas.write_text("1\n" * 6)
+    assert run(argv + ["--quotas", str(quotas)]) == 2
+    capsys.readouterr()
+    assert kept.read_text() == "old bytes\n"
+    assert not fresh.exists()
+    assert run(argv) == 0
+    assert kept.read_text().startswith("node_original_id\t") and fresh.exists()
+
+
 def test_solve_parse_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("p sp 2 1\na 1 5 1\n")

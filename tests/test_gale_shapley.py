@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -27,7 +28,7 @@ from stabledistrict.gale_shapley import (
 )
 from stabledistrict.nnc import estimate_mutual_bytes, mutual_closest_run
 
-from helpers import path_graph, random_grid_instance, random_sparse_instance
+from helpers import path_graph, random_dimacs_instance, random_grid_instance, random_sparse_instance
 
 
 def test_preferences_on_p6(p6):
@@ -51,19 +52,34 @@ def test_preference_distances_match_reverse_dijkstra(p5):
 
 
 def test_preference_rows_are_strictly_sorted_permutations():
+    # The integer weights of the DIMACS instances tie distances exactly, so
+    # the node side's order among equidistant centers is the index order.
+    makers = (random_grid_instance, random_sparse_instance, random_dimacs_instance)
+    for make, seed in itertools.product(makers, range(20)):
+        inst = make(seed)
+        prefs = build_preferences(inst)
+        n, k = inst.graph.node_count, inst.k
+        for c in range(k):
+            row = list(prefs.center_prefs[c])
+            assert sorted(row) == list(range(n))
+            keys = [(prefs.dist[c][u], u) for u in row]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (make.__name__, seed, c)
+        for u in range(n):
+            row = list(prefs.node_prefs[u])
+            assert sorted(row) == list(range(k))
+            keys = [(prefs.dist[c][u], c) for c in row]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (make.__name__, seed, u)
+
+
+def test_each_run_sorts_only_the_side_it_reads():
     inst = random_grid_instance(7)
     prefs = build_preferences(inst)
-    n, k = inst.graph.node_count, inst.k
-    for c in range(k):
-        row = list(prefs.center_prefs[c])
-        assert sorted(row) == list(range(n))
-        keys = [(prefs.dist[c][u], u) for u in row]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-    for u in range(n):
-        row = list(prefs.node_prefs[u])
-        assert sorted(row) == list(range(k))
-        keys = [(prefs.dist[c][u], c) for c in row]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert "center_prefs" not in vars(prefs) and "node_prefs" not in vars(prefs)
+    gs_centers_run(inst, prefs)
+    assert "center_prefs" in vars(prefs) and "node_prefs" not in vars(prefs)
+    prefs = build_preferences(inst)
+    gs_nodes_run(inst, prefs)
+    assert "node_prefs" in vars(prefs) and "center_prefs" not in vars(prefs)
 
 
 def test_gs_centers_examples(p6, p5):
@@ -140,6 +156,13 @@ def _traced_peak(fn) -> int:
 FIXED_CALL_BYTES = 1024
 
 
+def _build_and_sort_both_sides(inst):
+    # Each side is sorted on first read; a caller that reads both (the
+    # solver cross-checks do) holds the most one table can.
+    prefs = build_preferences(inst, memory_cap_bytes=None)
+    return prefs.center_prefs, prefs.node_prefs
+
+
 def test_memory_estimates_cover_traced_peaks():
     # The caps refuse a run by these estimates, so they must bound what the
     # run really allocates, or a run under the cap can still die mid-way.
@@ -155,7 +178,7 @@ def test_memory_estimates_cover_traced_peaks():
     sparse = [(random_sparse_instance(s, max_n=200), FIXED_CALL_BYTES) for s in range(20)]
     for inst, slack in grids + sparse:
         n, k = inst.graph.node_count, inst.k
-        gs_peak = _traced_peak(lambda: build_preferences(inst, memory_cap_bytes=None))
+        gs_peak = _traced_peak(lambda: _build_and_sort_both_sides(inst))
         assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, gs_peak)
         mutual_peak = _traced_peak(lambda: mutual_closest_run(inst))
         assert mutual_peak <= estimate_mutual_bytes(n, k) + slack, (n, k, mutual_peak)

@@ -29,6 +29,7 @@ from helpers import (
     all_solver_outputs,
     brute_force_blocking_pairs,
     path_graph,
+    random_dimacs_instance,
     random_float_instance,
     random_grid_instance,
     random_sparse_instance,
@@ -241,6 +242,23 @@ def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
                 verdicts["blocked" if isinstance(expected, BlockingPair) else "quota"] += 1
     assert sum(verdicts.values()) == 620 * 9
     assert min(verdicts.values()) > 300, verdicts
+
+
+def test_integer_dimacs_instances_agree_and_verify_stable():
+    # Integer weights 1-100 tie distances exactly, on both sides of the
+    # matching; Zipf quotas skew the district sizes.
+    node_ties = 0
+    for seed in range(60):
+        inst = random_dimacs_instance(seed)
+        full = compute_center_distances(inst)
+        node_ties += any(len(set(column)) < len(column) for column in zip(*full))
+        outputs = all_solver_outputs(inst)
+        expected = outputs["mutual"]
+        for name, a in outputs.items():
+            assert a == expected, (seed, name)
+            assert verify_stable(inst, a, full) is None, (seed, name)
+            assert verify_stable(inst, a, member_ball_distances(inst, a)) is None, (seed, name)
+    assert node_ties >= 6, node_ties
 
 
 def test_member_ball_distances_validates_like_verify_stable(p4):
