@@ -1,7 +1,7 @@
 """Command-line interface: solve, verify, bench, render, generate.
 
 Exit codes are part of the contract: 0 success, 1 unreadable input
-(parse errors, id mismatches), 2 infeasible instance (quota sum, bad
+(parse errors, id mismatches, usage errors), 2 infeasible instance (quota sum, bad
 centers, disconnected graph without --largest-component), 3 memory-cap
 refusal, 4 verification found the assignment unstable. Given fixed seeds,
 every invocation writes byte-identical TSV/CSV/SVG/GeoJSON files; wall
@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 
 from . import bench as bench_mod
 from .gale_shapley import DEFAULT_MEMORY_CAP_BYTES
@@ -41,14 +42,13 @@ from .render import render_geojson, render_svg
 
 def _load_graph(args) -> RoadGraph:
     with open(args.graph, "r", encoding="utf-8") as fh:
-        if args.graph.endswith(".gr"):
-            if args.co:
-                with open(args.co, "r", encoding="utf-8") as co_fh:
-                    g = parse_dimacs(fh, co_fh)
-            else:
-                g = parse_dimacs(fh)
-        else:
+        if not args.graph.endswith(".gr"):
             g = parse_tsv(fh)
+        elif args.co:
+            with open(args.co, "r", encoding="utf-8") as co_fh:
+                g = parse_dimacs(fh, co_fh)
+        else:
+            g = parse_dimacs(fh)
     if getattr(args, "largest_component", False):
         trimmed = largest_component(g)
         if trimmed.node_count != g.node_count:
@@ -122,22 +122,18 @@ def _check_writable(path: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    _check_writable(args.output)  # before the solve, which an unwritable path would waste
-    _check_writable(args.summary)
+    if args.trace and args.algo != "circle":
+        raise ValueError(f"--trace records circle-growing events; --algo {args.algo} writes none")
+    for path in (args.output, args.summary, args.trace):
+        _check_writable(path)  # before the solve, which an unwritable path would waste
     g = _load_graph(args)
     centers = _resolve_centers(args, g)
     quotas = _resolve_quotas(args, g, len(centers))
     inst = Instance(g, centers, quotas)
-    trace_fh = open(args.trace, "w", encoding="utf-8", newline="") if args.trace else None
-    try:
+    with open(args.trace, "w", encoding="utf-8", newline="") if args.trace else nullcontext() as trace_fh:
         start = time.perf_counter()
-        assignment, _ = bench_mod.run_algorithm(
-            args.algo, inst, _memory_cap(args), trace=trace_fh
-        )
+        assignment, _ = bench_mod.run_algorithm(args.algo, inst, _memory_cap(args), trace=trace_fh)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-    finally:
-        if trace_fh:
-            trace_fh.close()
     print(
         f"n={g.node_count} m={g.edge_count} k={inst.k}"
         f" algorithm={args.algo} time_ms={elapsed_ms:.1f}",
@@ -262,8 +258,13 @@ def _add_memory_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-memory-cap", action="store_true", help="disable the memory cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line and exit 1: argparse's code 2 means infeasible here
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabledistrict",
         description="Stable quota districting of weighted graphs",
     )
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--algo", required=True, choices=bench_mod.ALGORITHM_NAMES, help="solver to run"
     )
-    p_solve.add_argument("--trace", help="write circle-growing event trace to this file")
+    p_solve.add_argument("--trace", help="write circle-growing events to this file (--algo circle only)")
     p_solve.add_argument("-o", "--output", default=None, help="assignment TSV (default stdout)")
     p_solve.add_argument("--summary", default=None, help="write a JSON summary here")
     p_solve.set_defaults(handler=cmd_solve)

@@ -3,8 +3,10 @@
 Graphs are normalized at construction: arcs are symmetrized, parallel
 edges collapse to their minimum weight, self-loops are rejected, and node
 ids are remapped to a dense 0..n-1 range with the source-file ids kept in
-``original_ids``. A constructed ``RoadGraph`` is treated as immutable and
-is safe for concurrent reads.
+``original_ids``. The parsers validate each line once and fold it straight
+into the edge map that ``RoadGraph.from_edges`` also builds; all three end
+in ``_build``. A constructed ``RoadGraph`` is treated as immutable and is
+safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count
 from typing import IO, Iterable, Iterator
 
 INF = math.inf
@@ -67,33 +69,21 @@ class RoadGraph:
         duplicate edges keep the minimum weight.
         """
         best: dict[tuple[int, int], float] = {}
-        endpoints: set[int] = set()
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (w > 0.0) or not math.isfinite(w):
+            if not 0.0 < w < INF:
                 raise ValueError(f"nonpositive or nonfinite weight {w!r} on edge ({u}, {v})")
             key = (u, v) if u < v else (v, u)
-            old = best.get(key)
-            if old is None or w < old:
+            if w < best.setdefault(key, w):
                 best[key] = w
-            endpoints.add(u)
-            endpoints.add(v)
+        endpoints = set(chain.from_iterable(best))
         universe = set(node_ids) if node_ids is not None else endpoints
         if not universe:
             raise ValueError("empty graph: no nodes")
         if not endpoints <= universe:
             raise ValueError("edge endpoint outside the declared node set")
         ids = sorted(universe)
-        index = {orig: i for i, orig in enumerate(ids)}
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
-        for (u, v), w in best.items():
-            du, dv = index[u], index[v]
-            adjacency[du].append((dv, w))
-            adjacency[dv].append((du, w))
-        for row in adjacency:
-            row.sort()
-        dense_coords: list[tuple[float, float]] | None = None
         if coords is not None:
             missing = universe - coords.keys()
             if missing:
@@ -101,15 +91,28 @@ class RoadGraph:
             unknown = coords.keys() - universe
             if unknown:
                 raise ValueError(f"coordinate for unknown node {min(unknown)}")
-            dense_coords = [coords[orig] for orig in ids]
-        return cls(
-            node_count=len(ids),
-            edge_count=len(best),
-            adjacency=adjacency,
-            coords=dense_coords,
-            original_ids=ids,
-            _orig_index=index,
-        )
+        return cls._build(best, ids, None if coords is None else [coords[orig] for orig in ids])
+
+    @classmethod
+    def _build(cls, best: dict[tuple[int, int], float], ids: list[int], coords) -> "RoadGraph":
+        """The build step every constructor ends in: ``best`` is the folded
+        edge map ``{(a, b): w}`` with a < b over original ids, ``ids`` the
+        sorted original ids, ``coords`` the dense coordinates or None."""
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        lo = ids[0]
+        if ids[-1] - lo == n - 1:  # contiguous ids, as in every DIMACS file: dense id is id - lo,
+            pos = list(index.values())  # read from a list so the rows share index's n ints
+        else:
+            pos, lo = index, 0
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
+        for (u, v), w in best.items():
+            u, v = pos[u - lo], pos[v - lo]
+            adjacency[u].append((v, w))
+            adjacency[v].append((u, w))
+        for row in adjacency:
+            row.sort()
+        return cls(n, len(best), adjacency, coords, ids, index)
 
     def dense_id(self, original_id: int) -> int:
         """Map a source-file node id to its dense id."""
@@ -133,54 +136,54 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
     Without a `.co` file the header may declare at most 2a + 1 nodes for a arcs.
     """
     n_declared: int | None = None
-    edges: list[tuple[int, int, float]] = []
+    arcs = 0
+    best: dict[tuple[int, int], float] = {}
     for line_no, raw in enumerate(_lines(gr_stream), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        kind = tokens[0]
-        if kind == "p":
+        kind = tokens[0] if tokens else "c"
+        if kind == "a":
+            if n_declared is None:
+                raise ParseError("arc line before problem header", line_no)
+            if len(tokens) != 4:
+                raise ParseError("malformed arc line (expected 'a <u> <v> <w>')", line_no)
+            try:
+                u, v, w = int(tokens[1]), int(tokens[2]), float(tokens[3])
+            except ValueError:
+                raise ParseError("malformed arc fields", line_no) from None
+            if not (0 < u <= n_declared and 0 < v <= n_declared):
+                raise ParseError(f"arc references node id outside 1..{n_declared}", line_no)
+            if u == v:
+                raise ParseError(f"self-loop at node {u}", line_no)
+            if not 0.0 < w < INF:
+                raise ParseError(f"nonpositive weight {tokens[3]}", line_no)
+            key = (u, v) if u < v else (v, u)
+            if w < best.setdefault(key, w):
+                best[key] = w
+            arcs += 1
+        elif kind == "p":
             if n_declared is not None:
                 raise ParseError("duplicate problem header", line_no)
             header_line = line_no
             if len(tokens) != 4 or tokens[1] != "sp":
                 raise ParseError("malformed problem header (expected 'p sp <n> <m>')", line_no)
             try:
-                n_declared = int(tokens[2])
-                int(tokens[3])
+                n_declared, _ = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError("non-integer counts in problem header", line_no) from None
             if n_declared <= 0:
                 raise ParseError("empty graph: node count must be positive", line_no)
-        elif kind == "a":
-            if n_declared is None:
-                raise ParseError("arc line before problem header", line_no)
-            if len(tokens) != 4:
-                raise ParseError("malformed arc line (expected 'a <u> <v> <w>')", line_no)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-                w = float(tokens[3])
-            except ValueError:
-                raise ParseError("malformed arc fields", line_no) from None
-            if not 1 <= u <= n_declared or not 1 <= v <= n_declared:
-                raise ParseError(f"arc references node id outside 1..{n_declared}", line_no)
-            if u == v:
-                raise ParseError(f"self-loop at node {u}", line_no)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ParseError(f"nonpositive weight {tokens[3]}", line_no)
-            edges.append((u, v, w))
-        else:
+        elif kind != "c":
             raise ParseError(f"unrecognized line type {kind!r}", line_no)
     if n_declared is None:
         raise ParseError("missing problem header")
-    if co_stream is None and n_declared > 2 * len(edges) + 1:
+    if co_stream is None and n_declared > 2 * arcs + 1:
         raise ParseError(f"problem header declares {n_declared} nodes;"
-                         f" {len(edges)} arc line(s) allow at most {2 * len(edges) + 1}", header_line)
+                         f" {arcs} arc line(s) allow at most {2 * arcs + 1}", header_line)
     coords = _parse_dimacs_coords(co_stream, n_declared) if co_stream is not None else None
-    return RoadGraph.from_edges(edges, node_ids=range(1, n_declared + 1), coords=coords)
+    return RoadGraph._build(best, list(range(1, n_declared + 1)), coords)
 
 
-def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> dict[int, tuple[float, float]]:
+def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> list[tuple[float, float]]:
     coords: dict[int, tuple[float, float]] = {}
     for line_no, raw in enumerate(_lines(co_stream), start=1):
         tokens = raw.split()
@@ -189,8 +192,7 @@ def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> dict[int,
         if tokens[0] != "v" or len(tokens) != 4:
             raise ParseError("malformed coordinate line (expected 'v <id> <x> <y>')", line_no)
         try:
-            node = int(tokens[1])
-            x, y = float(tokens[2]), float(tokens[3])
+            node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
         except ValueError:
             raise ParseError("malformed coordinate fields", line_no) from None
         if not 1 <= node <= n_declared:
@@ -200,7 +202,7 @@ def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> dict[int,
         coords[node] = (x, y)
     if len(coords) < n_declared:
         raise ParseError(f"node {next(v for v in count(1) if v not in coords)} has no coordinate")
-    return coords
+    return [coords[v] for v in range(1, n_declared + 1)]
 
 
 def parse_tsv(stream: IO[str] | str) -> RoadGraph:
@@ -210,52 +212,48 @@ def parse_tsv(stream: IO[str] | str) -> RoadGraph:
     and may appear anywhere; other `#` lines are comments. Normalization
     matches parse_dimacs; coordinates, when present, must cover every node.
     """
-    edges: list[tuple[int, int, float]] = []
-    coord_lines: list[tuple[int, int, float, float]] = []
+    best: dict[tuple[int, int], float] = {}
+    coord_lines: list[tuple[int, int, tuple[float, float]]] = []
     for line_no, raw in enumerate(_lines(stream), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            tokens = stripped.split()
-            if tokens[0] != "#node":
+        tokens = raw.split()
+        head = tokens[0] if tokens else "#"
+        if head[0] == "#":
+            if head != "#node":
                 continue
             if len(tokens) != 4:
                 raise ParseError("malformed coordinate line (expected '#node <id> <x> <y>')", line_no)
             try:
-                coord_lines.append((line_no, int(tokens[1]), float(tokens[2]), float(tokens[3])))
+                coord_lines.append((line_no, int(tokens[1]), (float(tokens[2]), float(tokens[3]))))
             except ValueError:
                 raise ParseError("malformed coordinate fields", line_no) from None
             continue
-        tokens = stripped.split()
         if len(tokens) != 3:
             raise ParseError("malformed edge line (expected 'u v w')", line_no)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2])
+            u, v, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
         except ValueError:
             raise ParseError("malformed edge fields", line_no) from None
         if u == v:
             raise ParseError(f"self-loop at node {u}", line_no)
-        if not (w > 0.0) or not math.isfinite(w):
+        if not 0.0 < w < INF:
             raise ParseError(f"nonpositive weight {tokens[2]}", line_no)
-        edges.append((u, v, w))
-    if not edges:
+        key = (u, v) if u < v else (v, u)
+        if w < best.setdefault(key, w):
+            best[key] = w
+    if not best:
         raise ParseError("empty graph: no edges")
-    known = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-    coords: dict[int, tuple[float, float]] | None = None
-    if coord_lines:
-        coords = {}
-        for line_no, node, x, y in coord_lines:
-            if node not in known:
-                raise ParseError(f"coordinate for unknown node {node}", line_no)
-            if node in coords:
-                raise ParseError(f"duplicate coordinate for node {node}", line_no)
-            coords[node] = (x, y)
-        missing = known - coords.keys()
-        if missing:
-            raise ParseError(f"node {min(missing)} has no coordinate")
-    return RoadGraph.from_edges(edges, coords=coords)
+    known = set(chain.from_iterable(best))
+    coords: dict[int, tuple[float, float]] = {}
+    for line_no, node, xy in coord_lines:
+        if node not in known:
+            raise ParseError(f"coordinate for unknown node {node}", line_no)
+        if node in coords:
+            raise ParseError(f"duplicate coordinate for node {node}", line_no)
+        coords[node] = xy
+    if coord_lines and len(coords) < len(known):
+        raise ParseError(f"node {min(known - coords.keys())} has no coordinate")
+    ids = sorted(known)
+    return RoadGraph._build(best, ids, [coords[v] for v in ids] if coord_lines else None)
 
 
 def write_tsv(g: RoadGraph) -> str:
@@ -315,19 +313,18 @@ def largest_component(g: RoadGraph) -> RoadGraph:
     best = max(comps, key=lambda c: (len(c), -g.original_ids[c[0]]))
     if len(best) == g.node_count:
         return g
-    remap = {old: new for new, old in enumerate(best)}
-    adjacency = [
-        [(remap[v], w) for v, w in g.adjacency[old]]
-        for old in best
-    ]
-    edge_count = sum(len(row) for row in adjacency) // 2
+    remap = [0] * g.node_count
+    for new, old in enumerate(best):
+        remap[old] = new
+    adjacency = [[(remap[v], w) for v, w in g.adjacency[old]] for old in best]
+    original_ids = [g.original_ids[old] for old in best]
     return RoadGraph(
         node_count=len(best),
-        edge_count=edge_count,
+        edge_count=sum(map(len, adjacency)) // 2,
         adjacency=adjacency,
         coords=[g.coords[old] for old in best] if g.coords is not None else None,
-        original_ids=[g.original_ids[old] for old in best],
-        _orig_index={g.original_ids[old]: new for new, old in enumerate(best)},
+        original_ids=original_ids,
+        _orig_index=dict(zip(original_ids, range(len(best)))),
     )
 
 

@@ -7,11 +7,14 @@ implementation.
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
+from itertools import count
 
 from stabledistrict import (
     Assignment,
     Instance,
+    ParseError,
     RoadGraph,
     Score,
     build_preferences,
@@ -26,6 +29,7 @@ from stabledistrict import (
     solve_nnc,
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
+from stabledistrict.graph import _lines
 from stabledistrict.nnc import DnnOracle, Side
 from stabledistrict.render import BOUNDARY_COLOR, SvgOptions, district_color
 
@@ -119,13 +123,7 @@ def zipf_quotas(n: int, k: int) -> list[int]:
     return quotas
 
 
-def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
-    """Random connected graph read from DIMACS text with integer weights 1-100.
-
-    Every edge is written as two arcs, one per direction, in shuffled order,
-    so the graph goes through ``parse_dimacs``' symmetrizing. The few weight
-    values make exact distance ties common; quotas follow a Zipf law.
-    """
+def _random_dimacs(seed: int, max_n: int) -> tuple[str, SplitMix64]:
     rng = SplitMix64(derive_seed(seed, 0xF3))
     n = 2 + rng.next_below(max_n - 1)
     pairs = [(rng.next_below(v), v) for v in range(1, n)]
@@ -140,11 +138,201 @@ def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
     for i in range(len(arcs) - 1, 0, -1):
         j = rng.next_below(i + 1)
         arcs[i], arcs[j] = arcs[j], arcs[i]
-    g = parse_dimacs("\n".join([f"p sp {n} {len(arcs)}"] + arcs) + "\n")
+    return "\n".join([f"p sp {n} {len(arcs)}"] + arcs) + "\n", rng
+
+
+def random_dimacs_text(seed: int, max_n: int = 40) -> str:
+    """The DIMACS text that ``random_dimacs_instance(seed)`` reads."""
+    return _random_dimacs(seed, max_n)[0]
+
+
+def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
+    """Random connected graph read from DIMACS text with integer weights 1-100.
+
+    Every edge is written as two arcs, one per direction, in shuffled order,
+    so the graph goes through ``parse_dimacs``' symmetrizing. The few weight
+    values make exact distance ties common; quotas follow a Zipf law.
+    """
+    text, rng = _random_dimacs(seed, max_n)
+    g = parse_dimacs(text)
+    n = g.node_count
     # At k <= n/2 the Zipf quotas fit n for every n here (center 0 keeps >= 1).
     k = 1 + rng.next_below(min(max(1, n // 2), 8))
     centers = sample_centers(n, k, derive_seed(seed, 0xF4))
     return Instance(g, centers, zipf_quotas(n, k))
+
+
+def reference_from_edges(edges, node_ids=None, coords=None) -> RoadGraph:
+    """``RoadGraph.from_edges`` as two passes: validate and dedupe the (u, v, w)
+    triples while collecting the endpoints, then sort and index the node
+    universe; the parsers' one-pass build must match it too."""
+    best: dict[tuple[int, int], float] = {}
+    endpoints: set[int] = set()
+    for u, v, w in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (w > 0.0) or not math.isfinite(w):
+            raise ValueError(f"nonpositive or nonfinite weight {w!r} on edge ({u}, {v})")
+        key = (u, v) if u < v else (v, u)
+        old = best.get(key)
+        if old is None or w < old:
+            best[key] = w
+        endpoints.add(u)
+        endpoints.add(v)
+    universe = set(node_ids) if node_ids is not None else endpoints
+    if not universe:
+        raise ValueError("empty graph: no nodes")
+    if not endpoints <= universe:
+        raise ValueError("edge endpoint outside the declared node set")
+    ids = sorted(universe)
+    index = {orig: i for i, orig in enumerate(ids)}
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
+    for (u, v), w in best.items():
+        du, dv = index[u], index[v]
+        adjacency[du].append((dv, w))
+        adjacency[dv].append((du, w))
+    for row in adjacency:
+        row.sort()
+    dense_coords = None
+    if coords is not None:
+        missing = universe - coords.keys()
+        if missing:
+            raise ValueError(f"node {min(missing)} has no coordinate")
+        unknown = coords.keys() - universe
+        if unknown:
+            raise ValueError(f"coordinate for unknown node {min(unknown)}")
+        dense_coords = [coords[orig] for orig in ids]
+    return RoadGraph(
+        node_count=len(ids),
+        edge_count=len(best),
+        adjacency=adjacency,
+        coords=dense_coords,
+        original_ids=ids,
+        _orig_index=index,
+    )
+
+
+def reference_parse_dimacs(gr_stream, co_stream=None) -> RoadGraph:
+    """``parse_dimacs`` as two passes: collect the validated arcs as a list
+    of triples, then normalize them; the one-pass loader must match it."""
+    n_declared: int | None = None
+    edges: list[tuple[int, int, float]] = []
+    for line_no, raw in enumerate(_lines(gr_stream), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        kind = tokens[0]
+        if kind == "p":
+            if n_declared is not None:
+                raise ParseError("duplicate problem header", line_no)
+            header_line = line_no
+            if len(tokens) != 4 or tokens[1] != "sp":
+                raise ParseError("malformed problem header (expected 'p sp <n> <m>')", line_no)
+            try:
+                n_declared = int(tokens[2])
+                int(tokens[3])
+            except ValueError:
+                raise ParseError("non-integer counts in problem header", line_no) from None
+            if n_declared <= 0:
+                raise ParseError("empty graph: node count must be positive", line_no)
+        elif kind == "a":
+            if n_declared is None:
+                raise ParseError("arc line before problem header", line_no)
+            if len(tokens) != 4:
+                raise ParseError("malformed arc line (expected 'a <u> <v> <w>')", line_no)
+            try:
+                u, v = int(tokens[1]), int(tokens[2])
+                w = float(tokens[3])
+            except ValueError:
+                raise ParseError("malformed arc fields", line_no) from None
+            if not 1 <= u <= n_declared or not 1 <= v <= n_declared:
+                raise ParseError(f"arc references node id outside 1..{n_declared}", line_no)
+            if u == v:
+                raise ParseError(f"self-loop at node {u}", line_no)
+            if not (w > 0.0) or not math.isfinite(w):
+                raise ParseError(f"nonpositive weight {tokens[3]}", line_no)
+            edges.append((u, v, w))
+        else:
+            raise ParseError(f"unrecognized line type {kind!r}", line_no)
+    if n_declared is None:
+        raise ParseError("missing problem header")
+    if co_stream is None and n_declared > 2 * len(edges) + 1:
+        raise ParseError(f"problem header declares {n_declared} nodes;"
+                         f" {len(edges)} arc line(s) allow at most {2 * len(edges) + 1}", header_line)
+    coords = None
+    if co_stream is not None:
+        coords = {}
+        for line_no, raw in enumerate(_lines(co_stream), start=1):
+            tokens = raw.split()
+            if not tokens or tokens[0] == "c" or tokens[0] == "p":
+                continue
+            if tokens[0] != "v" or len(tokens) != 4:
+                raise ParseError("malformed coordinate line (expected 'v <id> <x> <y>')", line_no)
+            try:
+                node = int(tokens[1])
+                x, y = float(tokens[2]), float(tokens[3])
+            except ValueError:
+                raise ParseError("malformed coordinate fields", line_no) from None
+            if not 1 <= node <= n_declared:
+                raise ParseError(f"coordinate for unknown node {node}", line_no)
+            if node in coords:
+                raise ParseError(f"duplicate coordinate for node {node}", line_no)
+            coords[node] = (x, y)
+        if len(coords) < n_declared:
+            raise ParseError(f"node {next(v for v in count(1) if v not in coords)} has no coordinate")
+    return reference_from_edges(edges, node_ids=range(1, n_declared + 1), coords=coords)
+
+
+def reference_parse_tsv(stream) -> RoadGraph:
+    """``parse_tsv`` as two passes: collect the validated edges and the
+    coordinate lines, check the coordinates against the endpoint set, then
+    normalize; the one-pass loader must match it."""
+    edges: list[tuple[int, int, float]] = []
+    coord_lines: list[tuple[int, int, float, float]] = []
+    for line_no, raw in enumerate(_lines(stream), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            tokens = stripped.split()
+            if tokens[0] != "#node":
+                continue
+            if len(tokens) != 4:
+                raise ParseError("malformed coordinate line (expected '#node <id> <x> <y>')", line_no)
+            try:
+                coord_lines.append((line_no, int(tokens[1]), float(tokens[2]), float(tokens[3])))
+            except ValueError:
+                raise ParseError("malformed coordinate fields", line_no) from None
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 3:
+            raise ParseError("malformed edge line (expected 'u v w')", line_no)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+            w = float(tokens[2])
+        except ValueError:
+            raise ParseError("malformed edge fields", line_no) from None
+        if u == v:
+            raise ParseError(f"self-loop at node {u}", line_no)
+        if not (w > 0.0) or not math.isfinite(w):
+            raise ParseError(f"nonpositive weight {tokens[2]}", line_no)
+        edges.append((u, v, w))
+    if not edges:
+        raise ParseError("empty graph: no edges")
+    known = {u for u, _, _ in edges} | {v for _, v, _ in edges}
+    coords: dict[int, tuple[float, float]] | None = None
+    if coord_lines:
+        coords = {}
+        for line_no, node, x, y in coord_lines:
+            if node not in known:
+                raise ParseError(f"coordinate for unknown node {node}", line_no)
+            if node in coords:
+                raise ParseError(f"duplicate coordinate for node {node}", line_no)
+            coords[node] = (x, y)
+        missing = known - coords.keys()
+        if missing:
+            raise ParseError(f"node {min(missing)} has no coordinate")
+    return reference_from_edges(edges, coords=coords)
 
 
 N_EQUIVALENCE_CASES = 200

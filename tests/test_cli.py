@@ -313,6 +313,51 @@ def test_trace_flag_writes_events(grid_tsv, tmp_path):
     assert events == {"settle", "match", "halt"}
 
 
+def test_trace_is_checked_before_the_solve_and_only_for_circle(grid_tsv, tmp_path, capsys, monkeypatch):
+    solve = ["solve", "--random-centers", "2", "--seed", "1", str(grid_tsv)]
+    refused = tmp_path / "refused.txt"
+    assert run(solve + ["--algo", "gs-centers", "--memory-cap", "10", "--trace", str(refused)]) == 1
+    assert run(solve + ["--algo", "nnc", "--trace", str(refused)]) == 1
+    assert not refused.exists()
+    for err in capsys.readouterr().err.splitlines():
+        assert err.startswith("error: --trace records circle-growing events; --algo ")
+    quotas = tmp_path / "q.txt"
+    quotas.write_text("1\n1\n")
+    assert run(solve + ["--algo", "circle", "--quotas", str(quotas), "--trace", str(refused)]) == 2
+    assert not refused.exists()
+    solves = []
+    monkeypatch.setattr(cli.bench_mod, "run_algorithm", lambda *args, **kw: solves.append(args))
+    capsys.readouterr()
+    assert run(solve + ["--algo", "circle", "--trace", str(tmp_path / "no" / "t.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not solves
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "circle", "--random-centers", "2", "--bogus", "g.tsv"],
+    ["solve", "--algo", "circle", "g.tsv"],
+    ["solve", "--algo", "fastest", "--random-centers", "2", "g.tsv"],
+    ["generate", "--grid", "-2x3"],
+    ["verify", "--random-centers", "2", "g.tsv"],
+    ["bench", "--k", "2"],
+    [],
+])
+def test_usage_errors_print_one_error_line_and_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--trace" in capsys.readouterr().out
+
+
 def test_centers_file_source(grid_tsv, tmp_path):
     centers = tmp_path / "c.txt"
     centers.write_text("0\n35\n")
@@ -379,6 +424,15 @@ AUDIT_CASES = [
     ("unwritable-solve-output", {}, CIRCLE + ["2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
     ("output-is-a-directory", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
     ("unwritable-generate-output", {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
+    ("unwritable-trace", {}, CIRCLE + ["2", "--trace", "{d}/no/dir/t.txt", "{d}/g.tsv"]),
+    ("trace-for-other-solver", {}, ["solve", "--algo", "nnc", "--random-centers", "2", "--trace", "{d}/t.txt", "{d}/g.tsv"]),
+    ("tsv-bad-edge-after-duplicate-coordinate", {"x.tsv": "0 1 1\n#node 0 0 0\n#node 0 0 0\n1 2 x\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("tsv-duplicate-coordinate", {"x.tsv": "0 1 1\n#node 0 0 0\n#node 1 0 0\n#node 0 1 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("dimacs-duplicate-coordinate", {"x.gr": "p sp 2 2\na 1 2 1\na 2 1 3\n", "x.co": "v 1 0 0\nv 1 0 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
+    ("argparse-unknown-flag", {}, CIRCLE + ["2", "--fastest", "{d}/g.tsv"]),
+    ("argparse-missing-argument", {}, ["solve", "--algo", "circle", "{d}/g.tsv"]),
+    ("argparse-bad-algo", {}, ["solve", "--algo", "fastest", "--random-centers", "2", "{d}/g.tsv"]),
+    ("argparse-negative-grid", {}, ["generate", "--grid", "-2x3"]),
 ]
 
 AUDIT_MEMORY_LIMIT = 1 << 30
@@ -408,5 +462,5 @@ def test_malformed_invocation_exits_with_one_error_line(tmp_path, files, argv):
     )
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert proc.returncode in (1, 2, 3), proc.stderr
-    assert len(errors) == 1 and proc.stderr.endswith(errors[0] + "\n"), proc.stderr
+    assert len(errors) == 1 and proc.stderr == errors[0] + "\n", proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 from collections import defaultdict
 
@@ -15,10 +16,21 @@ from stabledistrict import (
     parse_tsv,
     write_tsv,
 )
-from stabledistrict.bench import generate_grid
+from stabledistrict.bench import SplitMix64, derive_seed, generate_grid
 from stabledistrict.graph import settle_stream
 
-from helpers import cycle_graph, path_graph, random_float_instance, random_sparse_instance
+from helpers import (
+    acceptance_grid_instance,
+    cycle_graph,
+    path_graph,
+    random_dimacs_text,
+    random_float_instance,
+    random_grid_instance,
+    random_sparse_instance,
+    reference_from_edges,
+    reference_parse_dimacs,
+    reference_parse_tsv,
+)
 
 DIMACS_SMALL = """c three nodes, two arcs
 p sp 3 2
@@ -135,6 +147,240 @@ def test_parse_tsv_coordinate_errors():
         parse_tsv("1 2 1.0\n#node 7 0 0\n")
     with pytest.raises(ParseError, match="no coordinate"):
         parse_tsv("1 2 1.0\n#node 1 0 0\n")
+
+
+@pytest.mark.parametrize(
+    "text,fragment,line",
+    [
+        ("1 2\n", "malformed edge line", 1),
+        ("1 2 1\n1 2 3 4\n", "malformed edge line", 2),
+        ("1 x 1\n", "malformed edge fields", 1),
+        ("1.5 2 1\n", "malformed edge fields", 1),
+        ("1 2 one\n", "malformed edge fields", 1),
+        ("1 2 1\n3 3 1\n", "self-loop at node 3", 2),
+        ("1 2 0\n", "nonpositive weight 0", 1),
+        ("1 2 -1.5\n", "nonpositive weight -1.5", 1),
+        ("1 2 nan\n", "nonpositive weight nan", 1),
+        ("1 2 inf\n", "nonpositive weight inf", 1),
+        ("1 2 -inf\n", "nonpositive weight -inf", 1),
+        ("#node 1 0\n1 2 1\n", "malformed coordinate line", 1),
+        ("1 2 1\n#node 1 0 y\n", "malformed coordinate fields", 2),
+        ("1 2 1\n#node 1 0 0\n#node 7 0 0\n", "coordinate for unknown node 7", 3),
+        ("1 2 1\n#node 1 0 0\n#node 1 1 1\n#node 2 0 0\n", "duplicate coordinate for node 1", 3),
+        ("1 2 1\n#node 2 0 0\n2 3 1\n", "node 1 has no coordinate", None),
+        ("# only comments\n\n#node 1 0 0\n", "empty graph: no edges", None),
+        # Coordinates are checked after the last line, so a malformed edge
+        # line after a duplicate #node line is still the error reported.
+        ("1 2 1\n#node 1 0 0\n#node 1 0 0\n2 3 x\n", "malformed edge fields", 4),
+        ("1 2 1\n#node 9 0 0\n#node 1 0 0\n#node 1 0 0\n", "coordinate for unknown node 9", 2),
+    ],
+)
+def test_parse_tsv_errors_name_the_line(text, fragment, line):
+    with pytest.raises(ParseError) as err:
+        parse_tsv(text)
+    assert fragment in str(err.value)
+    assert err.value.line == line
+    if line is not None:
+        assert str(err.value).startswith(f"line {line}: ")
+
+
+# Faults for the loader fuzz: (message fragment, edit). An edit changes a
+# list of lines in place, given the graph's node count n and an rng, and
+# returns False where the text has nothing it needs.
+def _put(template: str, after_header: bool = False):
+    def edit(lines, n, rng):
+        lo = 1 + _header(lines) if after_header else 0
+        lines.insert(lo + rng.next_below(len(lines) + 1 - lo), template.format(n=n, above=n + 1))
+    return edit
+
+
+def _header(lines) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith("p "))
+
+
+def _repeat(prefix: str):
+    def edit(lines, n, rng):
+        found = [line for line in lines if line.startswith(prefix)]
+        if not found:
+            return False
+        lines.insert(rng.next_below(len(lines) + 1), found[rng.next_below(len(found))])
+    return edit
+
+
+def _drop(prefix: str):
+    def edit(lines, n, rng):
+        found = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        if not found:
+            return False
+        del lines[found[rng.next_below(len(found))]]
+    return edit
+
+
+def _set_header(template: str):
+    def edit(lines, n, rng):
+        lines[_header(lines)] = template.format(n=n, most=2 * sum(l.startswith("a ") for l in lines) + 2)
+    return edit
+
+
+def _keep_comments(lines, n, rng):
+    lines[:] = [line for line in lines if line.startswith("#")]
+
+
+TSV_FAULTS = [
+    ("malformed edge line", _put("0 1")),
+    ("malformed edge line", _put("0 1 2 3")),
+    ("malformed edge fields", _put("0 x 1.5")),
+    ("malformed edge fields", _put("0 1 1,5")),
+    ("self-loop", _put("{n} {n} 1.0")),
+    ("nonpositive weight", _put("0 {n} 0")),
+    ("nonpositive weight", _put("{n} 0 -2.5")),
+    ("nonpositive weight", _put("0 {n} nan")),
+    ("nonpositive weight", _put("0 {n} inf")),
+    ("malformed coordinate line", _put("#node 0 1.0")),
+    ("malformed coordinate fields", _put("#node 0 1.0 north")),
+    ("coordinate for unknown node", _put("#node {n} 0 0")),
+    ("duplicate coordinate", _repeat("#node ")),
+    ("has no coordinate", _drop("#node ")),
+    ("empty graph", _keep_comments),
+]
+
+GR_FAULTS = [
+    ("duplicate problem header", _repeat("p ")),
+    ("malformed problem header", _set_header("p max {n} 1")),
+    ("non-integer counts", _set_header("p sp {n} many")),
+    ("node count must be positive", _set_header("p sp 0 0")),
+    ("allow at most", _set_header("p sp {most} 1")),
+    ("arc line before problem header", lambda lines, n, rng: lines.insert(_header(lines), "a 1 2 1")),
+    ("malformed arc line", _put("a 1 2", True)),
+    ("malformed arc fields", _put("a 1 2 x", True)),
+    ("outside 1..", _put("a 1 {above} 3", True)),
+    ("self-loop", _put("a {n} {n} 3", True)),
+    ("nonpositive weight", _put("a 1 {n} 0", True)),
+    ("nonpositive weight", _put("a {n} 1 nan", True)),
+    ("nonpositive weight", _put("a 1 {n} inf", True)),
+    ("unrecognized line type", _put("v 1 0 0")),
+    ("missing problem header", _drop("p ")),
+]
+
+CO_FAULTS = [
+    ("malformed coordinate line", _put("v 1 0")),
+    ("malformed coordinate line", _put("x 1 0 0")),
+    ("malformed coordinate fields", _put("v 1 0 east")),
+    ("coordinate for unknown node", _put("v {above} 0 0")),
+    ("duplicate coordinate", _repeat("v ")),
+    ("has no coordinate", _drop("v ")),
+]
+
+# Lines that change nothing: blanks and comments of each format.
+TSV_NOISE = ["", "   ", "\t", "# comment", "#", "#nodes follow", "  # indented comment"]
+DIMACS_NOISE = ["", "  ", "c", "c comment line", "\tc indented"]
+
+
+def _mutate(lines, rng, prefix: str | None, noise):
+    """Reverse some edges (``<prefix>u v w`` lines), add parallel copies with
+    other weights, move every other line after the header anywhere, and
+    sprinkle blank and comment lines. With ``prefix`` None no line is an edge."""
+    head = lines[:1] if lines[0].startswith("p ") else []
+    body, moved = [], []
+    for line in lines[len(head):]:
+        tokens = line.split()
+        if prefix is None or line.startswith("#") or len(tokens) != 3 + bool(prefix):
+            moved.append(line)
+            continue
+        u, v, w = tokens[-3:]
+        if rng.next_below(3) == 0:
+            u, v = v, u
+        body.append(f"{prefix}{u} {v} {w}")
+        if rng.next_below(4) == 0:
+            body.append(f"{prefix}{v} {u} {float(w) * (0.5, 2.0, 1.0)[rng.next_below(3)]!r}")
+    for line in moved + [noise[rng.next_below(len(noise))] for _ in range(3)]:
+        body.insert(rng.next_below(len(body) + 1), line)
+    return head + body
+
+
+def _load(parse, args):
+    try:
+        g = parse(*args)
+    except ValueError as exc:  # ParseError is one
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return g, g._orig_index
+
+
+def _same_load(parse, reference, lines_per_file, fragment=None, seen=None):
+    texts = ["\n".join(lines) + "\n" for lines in lines_per_file]
+    got = _load(parse, texts)
+    assert got == _load(reference, texts), texts
+    assert _load(parse, [io.StringIO(t) for t in texts]) == got
+    if fragment is not None and got[0] == "ParseError" and fragment in got[1]:
+        seen.add(fragment)
+
+
+def _fault_cases(parse, reference, files, faults_per_file, n, rng, seen):
+    for i, faults in enumerate(faults_per_file):
+        for fragment, edit in faults:
+            faulty = [list(lines) for lines in files]
+            if edit(faulty[i], n, rng) is not False:
+                _same_load(parse, reference, faulty, fragment, seen)
+
+
+def _helper_graphs():
+    for source in (random_grid_instance, random_sparse_instance, acceptance_grid_instance, random_float_instance):
+        for seed in range(60):
+            yield seed, source(seed).graph
+
+
+def test_parse_tsv_matches_the_two_pass_reference():
+    seen: set[str] = set()
+    for seed, g in _helper_graphs():
+        rng = SplitMix64(derive_seed(seed, g.node_count, 0x75))
+        lines = write_tsv(g).splitlines()
+        _same_load(parse_tsv, reference_parse_tsv, [lines])
+        mutated = _mutate(lines, rng, "", TSV_NOISE)
+        _same_load(parse_tsv, reference_parse_tsv, [mutated])
+        _fault_cases(parse_tsv, reference_parse_tsv, [mutated], [TSV_FAULTS], g.node_count, rng, seen)
+    assert seen == {fragment for fragment, _ in TSV_FAULTS}
+
+
+def test_from_edges_matches_the_two_pass_reference():
+    for seed, g in _helper_graphs():
+        rng = SplitMix64(derive_seed(seed, g.node_count, 0x77))
+        # Spread ids apart for the indexed path; keep them 0..n-1 for the contiguous one.
+        spread = (lambda u: 3 * u - 7) if seed % 2 else (lambda u: u)
+        edges = [(spread(u), spread(v), w * (1.0, 1.5)[rng.next_below(2)])
+                 for u in range(g.node_count) for v, w in g.adjacency[u]]
+        coords = None if g.coords is None else {spread(u): xy for u, xy in enumerate(g.coords)}
+        for node_ids in (None, [spread(u) for u in range(g.node_count + 2)]):
+            args = (edges, node_ids, coords if node_ids is None else None)
+            assert _load(RoadGraph.from_edges, args) == _load(reference_from_edges, args)
+
+
+def _dimacs_texts():
+    """The random DIMACS texts, then each helper graph as .gr and .co lines."""
+    for seed in range(60):
+        text = random_dimacs_text(seed)
+        yield seed, int(text.split()[2]), text.splitlines(), None
+    for seed, g in _helper_graphs():
+        arcs = [f"a {u + 1} {v + 1} {w!r}" for u in range(g.node_count) for v, w in g.adjacency[u] if u < v]
+        co = None
+        if g.coords is not None:
+            co = ["c coordinates", f"p aux sp co {g.node_count}"]
+            co += [f"v {u + 1} {x!r} {y!r}" for u, (x, y) in enumerate(g.coords)]
+        yield seed, g.node_count, [f"p sp {g.node_count} {len(arcs)}"] + arcs, co
+
+
+def test_parse_dimacs_matches_the_two_pass_reference():
+    seen: set[str] = set()
+    for seed, n, gr, co in _dimacs_texts():
+        rng = SplitMix64(derive_seed(seed, n, 0x76))
+        files = [gr] if co is None else [gr, co]
+        _same_load(parse_dimacs, reference_parse_dimacs, files)
+        mutated = [_mutate(gr, rng, "a ", DIMACS_NOISE)]
+        if co is not None:
+            mutated.append(_mutate(co, rng, None, DIMACS_NOISE))
+        _same_load(parse_dimacs, reference_parse_dimacs, mutated)
+        faults = [GR_FAULTS, CO_FAULTS][:len(mutated)]
+        _fault_cases(parse_dimacs, reference_parse_dimacs, mutated, faults, n, rng, seen)
+    assert seen == {fragment for fragment, _ in GR_FAULTS + CO_FAULTS}
 
 
 def test_roundtrip_preserves_graph_exactly():
