@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import repeat
 from typing import IO, NamedTuple
 
-from .graph import INF, settle_stream
+from .graph import INF, require_settles_in_order, settle_stream
 from .model import Assignment, Instance
 
 
@@ -36,7 +36,11 @@ def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRu
     The run counts settle events and reached pairs. ``trace``, when given,
     receives one tab-separated line per event:
     ``settle|match|halt <center index> <dense node id> <distance>``.
+    The merge needs every stream in ``(dist, node)`` order, so a graph on
+    which rounding can absorb a weight raises GraphError
+    (``graph.require_settles_in_order``) before any search starts.
     """
+    require_settles_in_order(inst.graph)
     n = inst.graph.node_count
     adjacency = inst.graph.adjacency
     remaining = list(inst.quotas)
@@ -51,12 +55,9 @@ def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRu
     matched = 0
     settled_total = 0
     pushed_total = 0
-    last_key: tuple[float, int, int] = (0.0, -1, -1)
     while heap and matched < n:
         entry = heap[0]
         d, u, c = entry
-        assert last_key <= entry, "pop order must be non-decreasing"
-        last_key = entry
         settled_total += 1
         if trace is not None:
             trace.write(f"settle\t{c}\t{u}\t{d!r}\n")

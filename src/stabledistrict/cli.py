@@ -41,6 +41,8 @@ from .render import render_geojson, render_svg
 
 
 def _load_graph(args) -> RoadGraph:
+    if args.co is not None and not args.graph.endswith(".gr"):
+        raise ValueError(f"coordinate file {args.co} needs a DIMACS .gr graph, not {args.graph}")
     with open(args.graph, "r", encoding="utf-8") as fh:
         if not args.graph.endswith(".gr"):
             g = parse_tsv(fh)
@@ -124,13 +126,21 @@ def _check_writable(path: str | None) -> None:
 def cmd_solve(args) -> int:
     if args.trace and args.algo != "circle":
         raise ValueError(f"--trace records circle-growing events; --algo {args.algo} writes none")
+    if args.trace == "-" and args.output in (None, "-"):
+        raise ValueError("--trace - needs -o FILE: the assignment goes to stdout without it")
     for path in (args.output, args.summary, args.trace):
         _check_writable(path)  # before the solve, which an unwritable path would waste
     g = _load_graph(args)
     centers = _resolve_centers(args, g)
     quotas = _resolve_quotas(args, g, len(centers))
     inst = Instance(g, centers, quotas)
-    with open(args.trace, "w", encoding="utf-8", newline="") if args.trace else nullcontext() as trace_fh:
+    if not args.trace:
+        trace_cm = nullcontext()
+    elif args.trace == "-":
+        trace_cm = nullcontext(sys.stdout)
+    else:
+        trace_cm = open(args.trace, "w", encoding="utf-8", newline="")
+    with trace_cm as trace_fh:
         start = time.perf_counter()
         assignment, _ = bench_mod.run_algorithm(args.algo, inst, _memory_cap(args), trace=trace_fh)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -232,7 +242,7 @@ def cmd_generate(args) -> int:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file (.gr DIMACS, otherwise TSV edge list)")
-    p.add_argument("co", nargs="?", default=None, help="DIMACS coordinate file")
+    p.add_argument("co", nargs="?", default=None, help="DIMACS coordinate file (.gr graphs only)")
     p.add_argument(
         "--largest-component", action="store_true",
         help="solve on the largest connected component (prints the trim to stderr)",
@@ -277,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--algo", required=True, choices=bench_mod.ALGORITHM_NAMES, help="solver to run"
     )
-    p_solve.add_argument("--trace", help="write circle-growing events to this file (--algo circle only)")
+    p_solve.add_argument(
+        "--trace",
+        help="write circle-growing events to this file, or to stdout with '-' and -o FILE"
+        " (--algo circle only)",
+    )
     p_solve.add_argument("-o", "--output", default=None, help="assignment TSV (default stdout)")
     p_solve.add_argument("--summary", default=None, help="write a JSON summary here")
     p_solve.set_defaults(handler=cmd_solve)

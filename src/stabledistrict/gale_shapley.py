@@ -1,14 +1,19 @@
 """Deferred-acceptance solvers over fully materialized preference tables.
 
-Both variants first run one shortest-path pass per center into a k x n
-score table, so memory is Theta(n*k). Each side's preference lists are
-sorted from that table on first use: the center-proposing run reads only
-the centers' lists and the node-proposing run only the nodes', so neither
-pays for the other side's sort. Because the table is a real failure mode
-on large inputs, ``build_preferences`` refuses up front (raising
-``MemoryCapExceeded``) when the estimated size of the table and both
-sides' lists exceeds a configurable byte budget, instead of crashing
-mid-run; pass ``memory_cap_bytes=None`` to override.
+Both variants read a k x n score table from one shortest-path pass per
+center, so memory is Theta(n*k). The searches run on the table's first
+read, and each side's preference lists are built on first use: the
+center-proposing run reads only the centers' lists and the node-proposing
+run only the nodes', so neither pays for the other side's. A center's
+search settles nodes in that center's preference order, so when the
+center side is read first its lists are the searches' pop orders and
+nothing is sorted; ``graph.settles_in_order`` guards the one exception, a
+weight absorbed by rounding, and the lists are then sorted from the table.
+Because the table is a real failure mode on large inputs,
+``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
+when the estimated size of the table and both sides' lists exceeds a
+configurable byte budget, instead of crashing mid-run; pass
+``memory_cap_bytes=None`` to override.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .model import Assignment, Instance, MemoryCapExceeded, compute_center_distances
+from .graph import settles_in_order
+from .model import Assignment, Instance, MemoryCapExceeded, compute_center_distances, rank_rows
 
 # Bytes per (center, node) pair while the tables are built: the distance
 # row's 24-byte boxed float and 8-byte list slot, its 8-byte array copy,
-# and a 4-byte id in each side's preference array. Each side is sorted
+# and a 4-byte id in each side's preference array. Each side is built
 # only when first read, but a caller may read both (the cross-checks do),
 # so the estimate prices both: the cap must bound what one table can hold.
 PAIR_ENTRY_BYTES = 48
@@ -40,28 +46,48 @@ def estimate_preference_bytes(n: int, k: int) -> int:
     return n * k * PAIR_ENTRY_BYTES + (n + 4 * k) * ROW_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass
 class PreferenceTables:
-    """The k x n distance table, with each side's sorted lists built on first read.
+    """The k x n distance table, searched on first read, with each side's
+    ranked lists built on first read.
 
     center_prefs[c] ranks all nodes for center c, best first; node_prefs[u]
     ranks all center indices for node u. Both orders are strict under the
     Score total order: ties in distance fall back to node id (center side)
-    or center index (node side).
+    or center index (node side). A first read of ``center_prefs`` keeps the
+    searches' pop orders when the graph settles in order; a first read of
+    ``dist`` or ``node_prefs`` runs the searches alone, and ``center_prefs``
+    read after that sorts the rows.
     """
 
-    dist: list[array]
+    inst: Instance
 
-    # Stable sorts over an index range break distance ties by id/index,
-    # which is exactly the Score order with the first component fixed.
+    @cached_property
+    def dist(self) -> list[array]:
+        return _distance_arrays(compute_center_distances(self.inst))
+
     @cached_property
     def center_prefs(self) -> list[array]:
-        return [array("i", sorted(range(len(row)), key=row.__getitem__)) for row in self.dist]
+        if "dist" not in vars(self) and settles_in_order(self.inst.graph):
+            orders: list[array] = []
+            self.dist = _distance_arrays(compute_center_distances(self.inst, orders))
+            return orders
+        return rank_rows(self.dist)
 
+    # A stable sort over the index range breaks distance ties by center
+    # index, which is exactly the Score order with the first component fixed.
     @cached_property
     def node_prefs(self) -> list[array]:
         centers = range(len(self.dist))
         return [array("i", sorted(centers, key=column.__getitem__)) for column in zip(*self.dist)]
+
+
+def _distance_arrays(rows: list[list[float]]) -> list[array]:
+    dist = []
+    for c, row in enumerate(rows):
+        dist.append(array("d", row))
+        rows[c] = None  # free each boxed row once its array copy exists
+    return dist
 
 
 class GsRun(NamedTuple):
@@ -72,18 +98,12 @@ class GsRun(NamedTuple):
 def build_preferences(
     inst: Instance, memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES
 ) -> PreferenceTables:
-    """Run one Dijkstra per center; each side's lists are sorted on first read."""
-    n = inst.graph.node_count
-    k = inst.k
-    required = estimate_preference_bytes(n, k)
+    """Refuse a table over the memory cap; otherwise return one whose k
+    Dijkstras run on its first read."""
+    required = estimate_preference_bytes(inst.graph.node_count, inst.k)
     if memory_cap_bytes is not None and required > memory_cap_bytes:
         raise MemoryCapExceeded("gale-shapley", required, memory_cap_bytes)
-    rows = compute_center_distances(inst)
-    dist = []
-    for c in range(k):
-        dist.append(array("d", rows[c]))
-        rows[c] = None  # free each boxed row once its array copy exists
-    return PreferenceTables(dist=dist)
+    return PreferenceTables(inst)
 
 
 def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
@@ -96,8 +116,8 @@ def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     """
     n = inst.graph.node_count
     k = inst.k
+    center_prefs = prefs.center_prefs  # first: a fresh table keeps the pop orders
     dist = prefs.dist
-    center_prefs = prefs.center_prefs
     slots = list(inst.quotas)
     pointer = [0] * k
     cur_center = [-1] * n

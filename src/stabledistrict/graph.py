@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, count
-from typing import IO, Iterable, Iterator
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, MutableSequence
 
 INF = math.inf
 
@@ -53,6 +54,10 @@ class RoadGraph:
     coords: list[tuple[float, float]] | None
     original_ids: list[int]
     _orig_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
+    # (smallest weight, distance bound), filled by the first settles_in_order
+    # call. A field, not a cached property: that would give the instance a
+    # real __dict__, and every attribute read of the graph would get slower.
+    _weight_span: tuple[float, float] | None = field(repr=False, compare=False, default=None)
 
     @classmethod
     def from_edges(
@@ -334,7 +339,7 @@ def settle_stream(
     """Dijkstra from ``source`` as a stream: yields each node it settles as
     ``(d, v)``, in pop order. That is non-decreasing ``(d, v)`` order unless
     rounding absorbs a weight (``d + w == d``), which can push a tied node
-    with a smaller id after a pop.
+    with a smaller id after a pop; ``settles_in_order`` rules that out.
 
     A binary heap with lazy deletion; stale entries are skipped. ``dist`` is
     the caller's store of tentative distances, indexed by node, that reads
@@ -357,9 +362,56 @@ def settle_stream(
                 heappush(heap, (nd, v))
 
 
-def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) -> list[float]:
+def _weight_range(g: RoadGraph) -> tuple[float, float]:
+    """The smallest edge weight and twice the sum of all weights, (inf, 0.0)
+    without edges. Every distance a search computes is at most that sum,
+    rounding included. One O(m) pass on first use; the graph keeps it."""
+    if g._weight_span is None:
+        weights = list(map(itemgetter(1), chain.from_iterable(g.adjacency)))  # each edge twice
+        span = (min(weights), sum(weights)) if weights else (INF, 0.0)
+        object.__setattr__(g, "_weight_span", span)  # a cache; the graph stays immutable
+    return g._weight_span
+
+
+def settles_in_order(g: RoadGraph) -> bool:
+    """Whether no search of ``g`` can absorb a weight by rounding.
+
+    A weight of at least one ulp of a distance d gives d + w > d, and the
+    ulp only grows with d, so a smallest weight of at least one ulp of the
+    distance bound keeps every relaxation strictly above its settled node.
+    Every ``settle_stream`` of ``g`` then pops in non-decreasing
+    ``(dist, node)`` order: the order circle growing and the chain
+    solver's labels rely on, and the sorted row that ``dijkstra``'s
+    ``order`` hands back.
+    """
+    w_min, bound = _weight_range(g)
+    return w_min >= math.ulp(bound)
+
+
+def require_settles_in_order(g: RoadGraph) -> None:
+    """Raise GraphError unless ``settles_in_order(g)``, naming the smallest
+    weight and the distance bound it falls below one ulp of."""
+    if not settles_in_order(g):
+        w_min, bound = _weight_range(g)
+        raise GraphError(
+            f"smallest edge weight {w_min!r} is below one ulp of the distance bound"
+            f" {bound!r}; rounding can absorb it, so searches may settle out of order"
+        )
+
+
+def dijkstra(
+    g: RoadGraph,
+    source: int,
+    targets: Iterable[int] | None = None,
+    order: MutableSequence[int] | None = None,
+) -> list[float]:
     """Single-source shortest paths: ``settle_stream`` consumed into a list;
     distance per node, inf where unreachable.
+
+    ``order``, a list or an ``array("i")``, is extended with a full
+    search's pop order. When ``settles_in_order(g)`` holds, that is the
+    reachable nodes sorted by ``(dist, node)``, so a caller that ranks
+    nodes by distance needs no sort.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -376,7 +428,10 @@ def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) ->
     dist = [INF] * n
     stream = settle_stream(g.adjacency, source, dist)
     if targets is None:
-        deque(stream, maxlen=0)
+        if order is None:
+            deque(stream, maxlen=0)
+        else:
+            order.extend([u for _, u in stream])
         return dist
     left = set(targets)
     for t in left:

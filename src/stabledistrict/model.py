@@ -12,6 +12,7 @@ raw per-center distance rows.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import le
@@ -121,9 +122,27 @@ class BlockingPair(NamedTuple):
     worst_dist: float
 
 
-def compute_center_distances(inst: Instance) -> list[list[float]]:
-    """One shortest-path row per center, in center order."""
-    return [dijkstra(inst.graph, c) for c in inst.centers]
+def compute_center_distances(inst: Instance, orders: list[array] | None = None) -> list[list[float]]:
+    """One shortest-path row per center, in center order.
+
+    With ``orders``, each center's pop order is appended to it as an
+    ``array("i")`` of node ids. That is ``rank_rows``' answer for the row
+    when ``settles_in_order(inst.graph)`` holds, and unspecified otherwise.
+    """
+    if orders is None:
+        return [dijkstra(inst.graph, c) for c in inst.centers]
+    rows = []
+    for c in inst.centers:
+        order = array("i")
+        rows.append(dijkstra(inst.graph, c, order=order))
+        orders.append(order)
+    return rows
+
+
+def rank_rows(rows) -> list[array]:
+    """Each row's node ids in ``(dist, node)`` order, best first: a stable
+    sort over the index range breaks distance ties by node id."""
+    return [array("i", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
 
 
 def _members_by_center(inst: Instance, a: Assignment) -> list[list[int]]:

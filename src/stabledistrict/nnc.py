@@ -18,24 +18,27 @@ from array import array
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
+from .graph import require_settles_in_order, settles_in_order
 from .model import (
     Assignment,
     Instance,
     MemoryCapExceeded,
     Score,
     compute_center_distances,
+    rank_rows,
 )
 
 Side = Literal["centers"]
 
 # Bytes held by the mutual-closest-pair solver. Per (center, node) pair: a
 # distance-table entry (a 24-byte boxed float and its 8-byte list slot)
-# plus a 4-byte id in the center's sorted row. Per node: the match, dist
+# plus a 4-byte id in the center's ranked row. Per node: the match, dist
 # and order list slots, an order entry (a 56-byte 2-tuple and a 28-byte
-# boxed node id), and one row sort's scratch (a boxed index, its list and
-# key slots, merge space). Per center: a merge-heap entry (a 64-byte
-# 3-tuple, its slot and a boxed node id), the table row's list header,
-# the sorted row's array header, and its list slots.
+# boxed node id), and one row's ranking scratch (for a sort: a boxed
+# index, its list and key slots, merge space; for a pop order, a list
+# slot). Per center: a merge-heap entry (a 64-byte 3-tuple, its slot and a
+# boxed node id), the table row's list header, the ranked row's array
+# header, and its list slots.
 MUTUAL_PAIR_BYTES = 36
 MUTUAL_NODE_BYTES = 160
 MUTUAL_CENTER_BYTES = 256
@@ -194,7 +197,10 @@ def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncR
     folds at once into the match ``[node, center]``, and no center ever
     searches for its nearest unmatched node. A top whose center is full
     is re-queried and replaced. Each match is one chain of two pushes.
+    Labels are settled in distance order, so a graph on which rounding can
+    absorb a weight raises GraphError (``graph.require_settles_in_order``).
     """
+    require_settles_in_order(inst.graph)
     factory = oracle_factory if oracle_factory is not None else fast_oracle_factory
     oracle = factory(inst, "centers")
     n = inst.graph.node_count
@@ -260,8 +266,9 @@ def mutual_closest_run(
     The pair of minimum Score among (unmatched node, unfilled center)
     pairs is always a mutual closest pair, so matching it greedily yields
     the unique stable solution. The full k x n distance table is
-    materialized, each center's row is sorted into (dist, node) order, and
-    the k sorted rows are merged through a k-entry heap in Score order.
+    materialized, each center's row is ranked into (dist, node) order (its
+    search's pop order when the graph settles in order, else a sort), and
+    the k ranked rows are merged through a k-entry heap in Score order.
     Pairs whose node is matched are popped and skipped, and a center's row
     leaves the heap when its quota fills, so each center pops exactly its
     ball up to its worst member: ``pops`` equals circle growing's
@@ -275,10 +282,13 @@ def mutual_closest_run(
         required = estimate_mutual_bytes(n, k)
         if required > memory_cap_bytes:
             raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
-    table = compute_center_distances(inst)
-    # Stable sorts over an index range break distance ties by node id.
-    sorted_rows = [array("i", sorted(range(n), key=row.__getitem__)) for row in table]
-    heap = [(table[c][sorted_rows[c][0]], sorted_rows[c][0], c) for c in range(k)]
+    if settles_in_order(inst.graph):
+        ranked: list[array] = []
+        table = compute_center_distances(inst, ranked)
+    else:
+        table = compute_center_distances(inst)
+        ranked = rank_rows(table)
+    heap = [(table[c][ranked[c][0]], ranked[c][0], c) for c in range(k)]
     heapify(heap)
     next_pos = [1] * k
     remaining = list(inst.quotas)
@@ -301,7 +311,7 @@ def mutual_closest_run(
                 continue
         # an open center's row always holds an unmatched node further on
         p = next_pos[c]
-        v = sorted_rows[c][p]
+        v = ranked[c][p]
         heapreplace(heap, (table[c][v], v, c))
         next_pos[c] = p + 1
     return MutualRun(assignment=Assignment(match=match, dist=dist_out), pops=pops, order=order)

@@ -114,6 +114,38 @@ def random_float_instance(seed: int, max_n: int = 40) -> Instance:
     return Instance(g, centers, quotas)
 
 
+def random_absorbing_instance(seed: int, max_n: int = 32) -> Instance:
+    """Random connected graph on which rounding can absorb a weight.
+
+    Weights are integers 1-8, but about a quarter are 1e-17, below half an
+    ulp of every distance of 1 or more, so ``d + w == d`` on most of them
+    and a search can pop a tied node with a smaller id late. Equal quotas.
+    """
+    rng = SplitMix64(derive_seed(seed, 0xAB))
+
+    def weight() -> float:
+        return 1e-17 if rng.next_below(4) == 0 else float(1 + rng.next_below(8))
+
+    n = 3 + rng.next_below(max_n - 2)
+    edges = [(rng.next_below(v), v, weight()) for v in range(1, n)]
+    for _ in range(rng.next_below(n + 1)):
+        u, v = rng.next_below(n), rng.next_below(n)
+        if u != v:
+            edges.append((u, v, weight()))
+    g = RoadGraph.from_edges(edges, node_ids=range(n))
+    k = 1 + rng.next_below(min(n, 8))
+    return Instance(g, sample_centers(n, k, derive_seed(seed, 0xAC)), equal_quotas(n, k))
+
+
+def helper_corpus(seeds: range = range(60)):
+    """(generator name, seed, instance) over every seeded instance generator
+    of this module except ``random_absorbing_instance``."""
+    for make in (random_grid_instance, random_sparse_instance, random_float_instance,
+                 random_dimacs_instance, acceptance_grid_instance):
+        for seed in seeds:
+            yield make.__name__, seed, make(seed)
+
+
 def zipf_quotas(n: int, k: int) -> list[int]:
     """q_i = max(1, floor(n / ((i+1) * H_k))); the remainder goes to center 0."""
     h = sum(1.0 / (i + 1) for i in range(k))

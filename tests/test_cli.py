@@ -334,6 +334,47 @@ def test_trace_is_checked_before_the_solve_and_only_for_circle(grid_tsv, tmp_pat
     assert not solves
 
 
+def test_trace_dash_goes_to_stdout_when_the_assignment_goes_to_a_file(grid_tsv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    solve = ["solve", "--algo", "circle", "--random-centers", "2", "--seed", "3", str(grid_tsv)]
+    assert run(solve + ["--trace", "t.log", "-o", "a.tsv"]) == 0
+    capsys.readouterr()
+    assert run(solve + ["--trace", "-", "-o", "b.tsv"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "t.log").read_text()
+    assert (tmp_path / "b.tsv").read_text() == (tmp_path / "a.tsv").read_text()
+    assert not (tmp_path / "-").exists()
+    assert run(solve + ["--trace", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: --trace - needs -o FILE: the assignment goes to stdout without it\n")
+
+
+def test_a_coordinate_file_needs_a_dimacs_graph(grid_tsv, tmp_path, capsys):
+    co = tmp_path / "g.co"
+    co.write_text("v 1 0 0\n")
+    assert run(["solve", "--algo", "circle", "--random-centers", "2",
+                "-o", str(tmp_path / "a.tsv"), str(grid_tsv), str(co)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: coordinate file {co} needs a DIMACS .gr graph, not {grid_tsv}\n")
+    assert not (tmp_path / "a.tsv").exists()
+
+
+def test_absorbing_weights_refuse_circle_and_nnc_but_not_the_table_solvers(tmp_path, capsys):
+    graph = tmp_path / "x.tsv"
+    graph.write_text(ABSORBING)
+    solve = ["solve", "--random-centers", "1", "--seed", "0", str(graph)]
+    for algo in ("circle", "nnc"):
+        assert run(solve + ["--algo", algo]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: smallest edge weight 1e-17 is below one ulp of the distance bound 4.0")
+        assert err.count("\n") == 1
+    outputs = set()
+    for algo in ("gs-centers", "gs-nodes", "mutual"):
+        assert run(solve + ["--algo", algo]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--algo", "circle", "--random-centers", "2", "--bogus", "g.tsv"],
     ["solve", "--algo", "circle", "g.tsv"],
@@ -382,6 +423,9 @@ def test_unknown_center_id_exits_2(grid_tsv, tmp_path, capsys):
 # argument is the case's directory, which holds a 5x5 grid as g.tsv and
 # its equal-quota circle assignment as a.tsv.
 CIRCLE = ["solve", "--algo", "circle", "--random-centers"]
+# Rounding absorbs the 1e-17 weight (2.0 + 1e-17 == 2.0), so searches can
+# settle out of distance order.
+ABSORBING = "3 2 1\n2 0 1e-17\n3 1 1\n"
 AUDIT_CASES = [
     ("bad-graph", {"x.tsv": "0 1 one\n"}, CIRCLE + ["2", "{d}/x.tsv"]),
     ("empty-graph", {"x.tsv": ""}, CIRCLE + ["2", "{d}/x.tsv"]),
@@ -433,6 +477,13 @@ AUDIT_CASES = [
     ("argparse-missing-argument", {}, ["solve", "--algo", "circle", "{d}/g.tsv"]),
     ("argparse-bad-algo", {}, ["solve", "--algo", "fastest", "--random-centers", "2", "{d}/g.tsv"]),
     ("argparse-negative-grid", {}, ["generate", "--grid", "-2x3"]),
+    ("circle-absorbing-weight", {"x.tsv": ABSORBING}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("nnc-absorbing-weight", {"x.tsv": ABSORBING}, ["solve", "--algo", "nnc", "--random-centers", "1", "{d}/x.tsv"]),
+    ("trace-to-stdout-beside-the-assignment", {}, CIRCLE + ["2", "--trace", "-", "{d}/g.tsv"]),
+    ("trace-to-stdout-beside-output-dash", {}, CIRCLE + ["2", "--trace", "-", "-o", "-", "{d}/g.tsv"]),
+    ("co-beside-tsv-solve", {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "{d}/g.tsv", "{d}/missing.co"]),
+    ("co-beside-tsv-verify", {}, ["verify", "--assignment", "{d}/a.tsv", "--random-centers", "5", "{d}/g.tsv", "{d}/missing.co"]),
+    ("co-beside-tsv-render", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/g.tsv", "{d}/missing.co"]),
 ]
 
 AUDIT_MEMORY_LIMIT = 1 << 30

@@ -156,11 +156,12 @@ def _traced_peak(fn) -> int:
 FIXED_CALL_BYTES = 1024
 
 
-def _build_and_sort_both_sides(inst):
-    # Each side is sorted on first read; a caller that reads both (the
-    # solver cross-checks do) holds the most one table can.
+def _build_and_read_both_sides(inst, first, second):
+    # Each side is built on first read; a caller that reads both (the
+    # solver cross-checks do) holds the most one table can. Read first, the
+    # center side keeps the searches' pop orders; read second, it sorts.
     prefs = build_preferences(inst, memory_cap_bytes=None)
-    return prefs.center_prefs, prefs.node_prefs
+    return getattr(prefs, first), getattr(prefs, second)
 
 
 def test_memory_estimates_cover_traced_peaks():
@@ -178,7 +179,8 @@ def test_memory_estimates_cover_traced_peaks():
     sparse = [(random_sparse_instance(s, max_n=200), FIXED_CALL_BYTES) for s in range(20)]
     for inst, slack in grids + sparse:
         n, k = inst.graph.node_count, inst.k
-        gs_peak = _traced_peak(lambda: _build_and_sort_both_sides(inst))
-        assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, gs_peak)
+        for sides in (("center_prefs", "node_prefs"), ("node_prefs", "center_prefs")):
+            gs_peak = _traced_peak(lambda: _build_and_read_both_sides(inst, *sides))
+            assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, sides, gs_peak)
         mutual_peak = _traced_peak(lambda: mutual_closest_run(inst))
         assert mutual_peak <= estimate_mutual_bytes(n, k) + slack, (n, k, mutual_peak)
