@@ -7,6 +7,13 @@ ids are remapped to a dense 0..n-1 range with the source-file ids kept in
 into the edge map that ``RoadGraph.from_edges`` also builds; all three end
 in ``_build``. A constructed ``RoadGraph`` is treated as immutable and is
 safe for concurrent reads.
+
+Shortest paths have two drains. ``settle_stream`` is a binary-heap
+Dijkstra that yields nodes as they settle; circle growing, targeted
+searches, and full searches of graphs with a wide weight spread use it.
+A full ``dijkstra`` search of a graph that passes ``fits_bucket_ring``
+drains ``_drain_ring``, Dial's bucket queue, instead; its rows equal the
+heap's bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, count
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, MutableSequence
 
 INF = math.inf
@@ -362,14 +368,59 @@ def settle_stream(
                 heappush(heap, (nd, v))
 
 
-def _weight_range(g: RoadGraph) -> tuple[float, float]:
-    """The smallest edge weight and twice the sum of all weights, (inf, 0.0)
-    without edges. Every distance a search computes is at most that sum,
-    rounding included. One O(m) pass on first use; the graph keeps it."""
+def _drain_ring(
+    adjacency: list[list[tuple[int, float]]], source: int, dist: list[float], w_min: float, w_max: float
+) -> None:
+    """A full search from ``source`` into ``dist`` by Dial's bucket queue.
+
+    Bucket b holds the entries ``(d, v)`` with ``d`` in ``[b, b + 1)`` times
+    ``w_min``, kept in a ring of ``floor(w_max / w_min) + 2`` slots: every
+    relaxation lands less than a full turn ahead, so a slot is reused only
+    once it is drained. An entry with ``d > dist[v]`` is stale. A slot is drained
+    again until it stays empty, so a relaxation that rounding lands in the
+    current slot is corrected, and the search ends after a full turn of
+    empty slots. The rows equal ``settle_stream``'s bit for bit: any order
+    of relaxations that ends with every node's arcs relaxed at its final
+    distance yields the same floating-point row, the minimum over paths.
+    """
+    size = int(w_max / w_min) + 2
+    ring: list[list[tuple[float, int]]] = [[] for _ in range(size)]
+    dist[source] = 0.0
+    ring[0].append((0.0, source))
+    slot = empty = 0
+    while empty < size:
+        entries = ring[slot]
+        if not entries:
+            empty += 1
+            slot = (slot + 1) % size
+            continue
+        empty = 0
+        ring[slot] = []
+        for d, u in entries:
+            if d > dist[u]:
+                continue  # stale entry
+            for v, w in adjacency[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    ring[int(nd / w_min) % size].append((nd, v))
+
+
+def _weight_range(g: RoadGraph) -> tuple[float, float, float]:
+    """The smallest and largest edge weight and twice the sum of all
+    weights, (inf, 0.0, 0.0) without edges. Every distance a search
+    computes is at most that sum, rounding included. One O(m) pass on first
+    use, over each edge from both ends; the graph keeps it."""
     if g._weight_span is None:
-        weights = list(map(itemgetter(1), chain.from_iterable(g.adjacency)))  # each edge twice
-        span = (min(weights), sum(weights)) if weights else (INF, 0.0)
-        object.__setattr__(g, "_weight_span", span)  # a cache; the graph stays immutable
+        w_min, w_max, bound = INF, 0.0, 0.0
+        for row in g.adjacency:
+            for _, w in row:
+                bound += w
+                if w < w_min:
+                    w_min = w
+                if w > w_max:
+                    w_max = w
+        object.__setattr__(g, "_weight_span", (w_min, w_max, bound))  # a cache; the graph stays immutable
     return g._weight_span
 
 
@@ -384,15 +435,27 @@ def settles_in_order(g: RoadGraph) -> bool:
     solver's labels rely on, and the sorted row that ``dijkstra``'s
     ``order`` hands back.
     """
-    w_min, bound = _weight_range(g)
+    w_min, _, bound = _weight_range(g)
     return w_min >= math.ulp(bound)
+
+
+def fits_bucket_ring(g: RoadGraph) -> bool:
+    """Whether full searches of ``g`` drain ``_drain_ring`` instead of a heap.
+
+    True when ``g`` has an edge and the distance bound is at most 4(n + m)
+    smallest weights: no search distance exceeds half the bound, so a search
+    visits at most 2(n + m) buckets of width ``w_min``. Such a graph also
+    settles in order, since ``w_min`` is then far above one ulp of the bound.
+    """
+    w_min, _, bound = _weight_range(g)
+    return g.edge_count > 0 and bound / w_min <= 4 * (g.node_count + g.edge_count)
 
 
 def require_settles_in_order(g: RoadGraph) -> None:
     """Raise GraphError unless ``settles_in_order(g)``, naming the smallest
     weight and the distance bound it falls below one ulp of."""
     if not settles_in_order(g):
-        w_min, bound = _weight_range(g)
+        w_min, _, bound = _weight_range(g)
         raise GraphError(
             f"smallest edge weight {w_min!r} is below one ulp of the distance bound"
             f" {bound!r}; rounding can absorb it, so searches may settle out of order"
@@ -405,13 +468,17 @@ def dijkstra(
     targets: Iterable[int] | None = None,
     order: MutableSequence[int] | None = None,
 ) -> list[float]:
-    """Single-source shortest paths: ``settle_stream`` consumed into a list;
-    distance per node, inf where unreachable.
+    """Single-source shortest paths: distance per node, inf where unreachable.
 
-    ``order``, a list or an ``array("i")``, is extended with a full
-    search's pop order. When ``settles_in_order(g)`` holds, that is the
-    reachable nodes sorted by ``(dist, node)``, so a caller that ranks
-    nodes by distance needs no sort.
+    A full search (no ``targets``) drains ``_drain_ring`` when
+    ``fits_bucket_ring(g)`` holds and ``settle_stream`` otherwise; both give
+    the same row bit for bit. ``order``, a list or an ``array("i")``, is
+    extended with a full search's settle order: on the ring, the reachable
+    nodes stably sorted by distance, so ties go to the smaller id; on the
+    heap, its pop order. Both are the reachable nodes sorted by
+    ``(dist, node)`` when ``settles_in_order(g)`` holds, which every graph
+    the ring accepts does, so a caller that ranks nodes by distance needs
+    no sort.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -426,6 +493,12 @@ def dijkstra(
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range 0..{n - 1}")
     dist = [INF] * n
+    if targets is None and fits_bucket_ring(g):
+        w_min, w_max, _ = _weight_range(g)
+        _drain_ring(g.adjacency, source, dist, w_min, w_max)
+        if order is not None:  # a stable sort breaks distance ties by node id
+            order.extend(sorted(range(n), key=dist.__getitem__)[: n - dist.count(INF)])
+        return dist
     stream = settle_stream(g.adjacency, source, dist)
     if targets is None:
         if order is None:

@@ -125,9 +125,10 @@ class BlockingPair(NamedTuple):
 def compute_center_distances(inst: Instance, orders: list[array] | None = None) -> list[list[float]]:
     """One shortest-path row per center, in center order.
 
-    With ``orders``, each center's pop order is appended to it as an
-    ``array("i")`` of node ids. That is ``rank_rows``' answer for the row
-    when ``settles_in_order(inst.graph)`` holds, and unspecified otherwise.
+    With ``orders``, each center's settle order (``dijkstra``'s ``order``)
+    is appended to it as an ``array("i")`` of node ids. That is
+    ``rank_rows``' answer for the row when ``settles_in_order(inst.graph)``
+    holds, and unspecified otherwise.
     """
     if orders is None:
         return [dijkstra(inst.graph, c) for c in inst.centers]

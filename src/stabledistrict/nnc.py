@@ -169,7 +169,7 @@ class _CenterLabelOracle:
                     lab_d[nb] = nd
                     lab_c[nb] = ci
                     push(heap, (nd, ci, nb))
-        assert not any(in_region[v] for v in region), "grow left unlabeled vertices"
+        assert not any(map(in_region.__getitem__, region)), "grow left unlabeled vertices"
 
 
 def fast_oracle_factory(inst: Instance, side: Side) -> DnnOracle:

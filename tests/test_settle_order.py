@@ -3,10 +3,14 @@
 Where no weight can be absorbed by rounding, each full search's pop order
 is the stable sort of its distance row, so gs-centers and the mutual
 reference read it instead of sorting. Where one can, they sort, and circle
-growing and the chain solver refuse the graph.
+growing and the chain solver refuse the graph. Full searches on graphs
+whose weight spread fits ``graph.fits_bucket_ring`` drain a bucket ring
+instead of the heap; their rows and orders equal the heap's bit for bit.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 
@@ -22,11 +26,19 @@ from stabledistrict import (
     solve_gs_nodes,
     solve_nnc,
 )
-from stabledistrict import gale_shapley, nnc
+from stabledistrict import gale_shapley, graph, nnc
+from stabledistrict.bench import generate_grid
 from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
-from stabledistrict.graph import require_settles_in_order, settles_in_order
+from stabledistrict.graph import INF, fits_bucket_ring, require_settles_in_order, settle_stream, settles_in_order
 
-from helpers import helper_corpus, random_absorbing_instance, random_grid_instance, reference_mutual_closest
+from helpers import (
+    helper_corpus,
+    path_graph,
+    random_absorbing_instance,
+    random_float_instance,
+    random_grid_instance,
+    reference_mutual_closest,
+)
 
 ABSORBING_SEEDS = range(300)
 
@@ -49,6 +61,74 @@ class SearchSpy:
             return rows
 
         monkeypatch.setattr(module, "compute_center_distances", spy)
+
+
+def heap_search(g: RoadGraph, source: int) -> tuple[bytes, list[int]]:
+    """A full ``settle_stream`` search: its row's bytes and its pop order."""
+    dist = [INF] * g.node_count
+    order = [u for _, u in settle_stream(g.adjacency, source, dist)]
+    return array("d", dist).tobytes(), order
+
+
+def full_searches(monkeypatch, g: RoadGraph, sources) -> tuple[list, int]:
+    """``dijkstra``'s full search from each source, as ``heap_search``'s
+    pairs, and how many of them went through ``graph.settle_stream``."""
+    streams = []
+
+    def spy(adjacency, source, dist):
+        streams.append(source)
+        return settle_stream(adjacency, source, dist)
+
+    searches = []
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "settle_stream", spy)
+        for s in sources:
+            order = array("i")
+            row = dijkstra(g, s, order=order)
+            searches.append((array("d", row).tobytes(), list(order)))
+    return searches, len(streams)
+
+
+def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
+    graphs = [inst.graph for _, _, inst in helper_corpus() if fits_bucket_ring(inst.graph)]
+    assert len(graphs) == 188
+    for g in graphs:
+        searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
+        assert streamed == 0
+        assert searches == [heap_search(g, s) for s in range(g.node_count)]
+    for side in (32, 64):
+        g = generate_grid(side, side, jitter_seed=7)
+        assert fits_bucket_ring(g)
+        sources = range(0, g.node_count, 97)
+        searches, streamed = full_searches(monkeypatch, g, sources)
+        assert streamed == 0
+        assert searches == [heap_search(g, s) for s in sources]
+
+
+def test_the_ring_accepts_absorbing_seeds_only_where_they_settle_in_order(monkeypatch):
+    ring = 0
+    for seed in ABSORBING_SEEDS:
+        g = random_absorbing_instance(seed).graph
+        fits = fits_bucket_ring(g)
+        assert not fits or settles_in_order(g), seed
+        ring += fits
+        searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
+        assert streamed == (0 if fits else g.node_count), seed
+        assert searches == [heap_search(g, s) for s in range(g.node_count)], seed
+    assert 0 < ring < len(ABSORBING_SEEDS) // 10
+
+
+def test_graphs_outside_the_ring_guard_take_the_heap(monkeypatch):
+    floats = [random_float_instance(seed).graph for seed in range(60)]
+    graphs = [RoadGraph.from_edges([], node_ids=[0]), path_graph(3, [1.0, 1e6])]
+    graphs += [g for g in floats if not fits_bucket_ring(g)]
+    assert len(graphs) > 50
+    for g in graphs:
+        assert not fits_bucket_ring(g)
+        searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
+        assert streamed == g.node_count
+        assert searches == [heap_search(g, s) for s in range(g.node_count)]
+    assert dijkstra(graphs[0], 0) == [0.0]
 
 
 def test_the_witness_pops_out_of_order_and_fails_the_guard():
