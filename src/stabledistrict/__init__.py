@@ -19,16 +19,15 @@ from .bench import (
     generate_grid,
     run_bench,
     sample_centers,
+    solve,
     write_csv,
 )
-from .circle import CircleRun, circle_growing_run, solve_circle_growing
+from .circle import CircleRun, circle_growing_run
 from .gale_shapley import (
     DEFAULT_MEMORY_CAP_BYTES,
     PAIR_ENTRY_BYTES,
     PreferenceTables,
     build_preferences,
-    solve_gs_centers,
-    solve_gs_nodes,
 )
 from .graph import (
     GraphError,
@@ -43,6 +42,7 @@ from .graph import (
 from .model import (
     Assignment,
     BlockingPair,
+    DistanceMismatch,
     Instance,
     InstanceError,
     MemoryCapExceeded,
@@ -64,8 +64,6 @@ from .nnc import (
     fast_oracle_factory,
     mutual_closest_run,
     nnc_run,
-    solve_mutual_closest,
-    solve_nnc,
 )
 from .render import PALETTE, SvgOptions, render_geojson, render_svg
 
@@ -78,6 +76,7 @@ __all__ = [
     "BlockingPair",
     "CircleRun",
     "DEFAULT_MEMORY_CAP_BYTES",
+    "DistanceMismatch",
     "DnnOracle",
     "GraphError",
     "Instance",
@@ -116,11 +115,7 @@ __all__ = [
     "render_svg",
     "run_bench",
     "sample_centers",
-    "solve_circle_growing",
-    "solve_gs_centers",
-    "solve_gs_nodes",
-    "solve_mutual_closest",
-    "solve_nnc",
+    "solve",
     "verify_stable",
     "write_csv",
     "write_tsv",

@@ -205,37 +205,41 @@ def assignment_digest(a: Assignment) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def run_algorithm(
-    name: str,
+def solve(
     inst: Instance,
-    memory_cap_bytes: int | None,
+    algo: str,
+    *,
+    memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES,
     trace: IO[str] | None = None,
 ) -> tuple[Assignment, int]:
-    """Run one solver by name; returns (assignment, work counter).
+    """Run the solver named ``algo`` (one of ``ALGORITHM_NAMES``); returns
+    (assignment, work counter).
 
     Work counters: proposals for the deferred-acceptance solvers, settle
     events for circle growing, label queries (n at setup plus one per stale
     label) plus the k center removals for the chain solver, heap pops for
     the mutual-closest reference (equal to circle's settle events).
+    ``memory_cap_bytes`` bounds the table solvers (None lifts the cap), and
+    ``trace`` receives circle growing's events.
     """
-    if name == "gs-centers":
+    if algo == "gs-centers":
         prefs = build_preferences(inst, memory_cap_bytes=memory_cap_bytes)
         run = gs_centers_run(inst, prefs)
         return run.assignment, run.proposals
-    if name == "gs-nodes":
+    if algo == "gs-nodes":
         prefs = build_preferences(inst, memory_cap_bytes=memory_cap_bytes)
         run = gs_nodes_run(inst, prefs)
         return run.assignment, run.proposals
-    if name == "circle":
+    if algo == "circle":
         run = circle_growing_run(inst, trace=trace)
         return run.assignment, run.settled_total
-    if name == "nnc":
+    if algo == "nnc":
         run = nnc_run(inst)
         return run.assignment, run.oracle_queries + run.oracle_updates
-    if name == "mutual":
+    if algo == "mutual":
         run = mutual_closest_run(inst, memory_cap_bytes=memory_cap_bytes)
         return run.assignment, run.pops
-    raise ValueError(f"unknown algorithm {name!r}")
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def _bench_instance(
@@ -253,7 +257,7 @@ def _run_cell(
     for algo in cfg.algorithms:
         start = time.perf_counter()
         try:
-            assignment, work = run_algorithm(algo, inst, cfg.memory_cap_bytes)
+            assignment, work = solve(inst, algo, memory_cap_bytes=cfg.memory_cap_bytes)
         except MemoryCapExceeded:
             records.append(
                 BenchRecord(

@@ -31,7 +31,7 @@ class CircleRun(NamedTuple):
 
 
 def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRun:
-    """Run the interleaved solver; see solve_circle_growing for the contract.
+    """Stable assignment via simultaneous quota-halted circle growth.
 
     The run counts settle events and reached pairs. ``trace``, when given,
     receives one tab-separated line per event:
@@ -86,8 +86,3 @@ def circle_growing_run(inst: Instance, trace: IO[str] | None = None) -> CircleRu
         settled_total=settled_total,
         pushed_total=pushed_total,
     )
-
-
-def solve_circle_growing(inst: Instance, trace: IO[str] | None = None) -> Assignment:
-    """Stable assignment via simultaneous quota-halted circle growth."""
-    return circle_growing_run(inst, trace=trace).assignment

@@ -23,6 +23,7 @@ from .gale_shapley import DEFAULT_MEMORY_CAP_BYTES
 from .graph import GraphError, ParseError, RoadGraph, largest_component, parse_dimacs, parse_tsv, write_tsv
 from .model import (
     BlockingPair,
+    DistanceMismatch,
     Instance,
     InstanceError,
     MemoryCapExceeded,
@@ -142,7 +143,7 @@ def cmd_solve(args) -> int:
         trace_cm = open(args.trace, "w", encoding="utf-8", newline="")
     with trace_cm as trace_fh:
         start = time.perf_counter()
-        assignment, _ = bench_mod.run_algorithm(args.algo, inst, _memory_cap(args), trace=trace_fh)
+        assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=_memory_cap(args), trace=trace_fh)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(
         f"n={g.node_count} m={g.edge_count} k={inst.k}"
@@ -171,6 +172,14 @@ def cmd_verify(args) -> int:
         print(
             f"UNSTABLE quota violation: center {center_id}"
             f" expected {verdict.expected} nodes, got {verdict.actual}"
+        )
+        return 4
+    if isinstance(verdict, DistanceMismatch):
+        node_id = g.original_ids[verdict.node]
+        print(
+            f"UNSTABLE distance mismatch: node {node_id} is assigned to center"
+            f" {g.original_ids[centers[verdict.center]]} at distance {verdict.claimed!r},"
+            f" but the true distance is {verdict.true!r}"
         )
         return 4
     assert isinstance(verdict, BlockingPair)

@@ -4,11 +4,10 @@ Both variants read a k x n score table from one shortest-path pass per
 center, so memory is Theta(n*k). The searches run on the table's first
 read, and each side's preference lists are built on first use: the
 center-proposing run reads only the centers' lists and the node-proposing
-run only the nodes', so neither pays for the other side's. A center's
-search settles nodes in that center's preference order, so when the
-center side is read first its lists are the searches' pop orders and
-nothing is sorted; ``graph.settles_in_order`` guards the one exception, a
-weight absorbed by rounding, and the lists are then sorted from the table.
+run only the nodes', so neither pays for the other side's. When the
+center side is read first, its lists are the ranked rows the searches
+hand back (``dijkstra``'s ``order``); read after the table, they are
+sorted from it.
 Because the table is a real failure mode on large inputs,
 ``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
 when the estimated size of the table and both sides' lists exceeds a
@@ -25,7 +24,6 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .graph import settles_in_order
 from .model import Assignment, Instance, MemoryCapExceeded, compute_center_distances, rank_rows
 
 # Bytes per (center, node) pair while the tables are built: the distance
@@ -55,9 +53,8 @@ class PreferenceTables:
     ranks all center indices for node u. Both orders are strict under the
     Score total order: ties in distance fall back to node id (center side)
     or center index (node side). A first read of ``center_prefs`` keeps the
-    searches' pop orders when the graph settles in order; a first read of
-    ``dist`` or ``node_prefs`` runs the searches alone, and ``center_prefs``
-    read after that sorts the rows.
+    searches' ranked rows; a first read of ``dist`` or ``node_prefs`` runs
+    the searches alone, and ``center_prefs`` read after that sorts the rows.
     """
 
     inst: Instance
@@ -68,7 +65,7 @@ class PreferenceTables:
 
     @cached_property
     def center_prefs(self) -> list[array]:
-        if "dist" not in vars(self) and settles_in_order(self.inst.graph):
+        if "dist" not in vars(self):
             orders: list[array] = []
             self.dist = _distance_arrays(compute_center_distances(self.inst, orders))
             return orders
@@ -116,7 +113,7 @@ def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     """
     n = inst.graph.node_count
     k = inst.k
-    center_prefs = prefs.center_prefs  # first: a fresh table keeps the pop orders
+    center_prefs = prefs.center_prefs  # first: a fresh table keeps the searches' ranked rows
     dist = prefs.dist
     slots = list(inst.quotas)
     pointer = [0] * k
@@ -201,11 +198,3 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
             else:
                 free.append(u)
     return GsRun(Assignment(match=cur_center, dist=cur_dist), proposals)
-
-
-def solve_gs_centers(inst: Instance, prefs: PreferenceTables) -> Assignment:
-    return gs_centers_run(inst, prefs).assignment
-
-
-def solve_gs_nodes(inst: Instance, prefs: PreferenceTables) -> Assignment:
-    return gs_nodes_run(inst, prefs).assignment

@@ -432,8 +432,8 @@ def settles_in_order(g: RoadGraph) -> bool:
     distance bound keeps every relaxation strictly above its settled node.
     Every ``settle_stream`` of ``g`` then pops in non-decreasing
     ``(dist, node)`` order: the order circle growing and the chain
-    solver's labels rely on, and the sorted row that ``dijkstra``'s
-    ``order`` hands back.
+    solver's labels rely on, and that ``dijkstra``'s ``order`` takes
+    from a heap search without sorting its row.
     """
     w_min, _, bound = _weight_range(g)
     return w_min >= math.ulp(bound)
@@ -473,12 +473,10 @@ def dijkstra(
     A full search (no ``targets``) drains ``_drain_ring`` when
     ``fits_bucket_ring(g)`` holds and ``settle_stream`` otherwise; both give
     the same row bit for bit. ``order``, a list or an ``array("i")``, is
-    extended with a full search's settle order: on the ring, the reachable
-    nodes stably sorted by distance, so ties go to the smaller id; on the
-    heap, its pop order. Both are the reachable nodes sorted by
-    ``(dist, node)`` when ``settles_in_order(g)`` holds, which every graph
-    the ring accepts does, so a caller that ranks nodes by distance needs
-    no sort.
+    extended with a full search's reachable nodes sorted by ``(dist, node)``,
+    a center's ranked row, on every graph: the heap's pop order when
+    ``settles_in_order(g)`` holds, and otherwise, as on the ring, the row
+    stably sorted by distance, so ties go to the smaller id.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -493,19 +491,21 @@ def dijkstra(
     if not 0 <= source < n:
         raise GraphError(f"source {source} out of range 0..{n - 1}")
     dist = [INF] * n
-    if targets is None and fits_bucket_ring(g):
-        w_min, w_max, _ = _weight_range(g)
-        _drain_ring(g.adjacency, source, dist, w_min, w_max)
+    if targets is None:
+        if fits_bucket_ring(g):
+            w_min, w_max, _ = _weight_range(g)
+            _drain_ring(g.adjacency, source, dist, w_min, w_max)
+        elif order is not None and settles_in_order(g):
+            order.extend([u for _, u in settle_stream(g.adjacency, source, dist)])
+            return dist
+        else:
+            deque(settle_stream(g.adjacency, source, dist), maxlen=0)
         if order is not None:  # a stable sort breaks distance ties by node id
-            order.extend(sorted(range(n), key=dist.__getitem__)[: n - dist.count(INF)])
+            ranked = sorted(range(n), key=dist.__getitem__)
+            del ranked[n - dist.count(INF):]
+            order.extend(ranked)
         return dist
     stream = settle_stream(g.adjacency, source, dist)
-    if targets is None:
-        if order is None:
-            deque(stream, maxlen=0)
-        else:
-            order.extend([u for _, u in stream])
-        return dist
     left = set(targets)
     for t in left:
         if not 0 <= t < n:

@@ -6,7 +6,8 @@ are the symmetric ``Score`` total order: shortest-path distance with the
 (node id, center index) tie-break applied identically from either side, so
 every node-center pair has a globally unique rank. ``verify_stable`` is an
 independent checker that never trusts solver internals: it works from the
-raw per-center distance rows.
+raw per-center distance rows and checks every distance the assignment
+claims against them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import le
+from operator import le, ne
 from typing import IO, NamedTuple
 
 from .graph import RoadGraph, _lines, dijkstra, is_connected
@@ -111,6 +112,15 @@ class QuotaViolation(NamedTuple):
     actual: int
 
 
+class DistanceMismatch(NamedTuple):
+    """A node whose claimed distance to its assigned center is not the true one."""
+
+    node: int
+    center: int
+    claimed: float
+    true: float
+
+
 class BlockingPair(NamedTuple):
     """A node and a center that both prefer each other over their matches."""
 
@@ -125,10 +135,9 @@ class BlockingPair(NamedTuple):
 def compute_center_distances(inst: Instance, orders: list[array] | None = None) -> list[list[float]]:
     """One shortest-path row per center, in center order.
 
-    With ``orders``, each center's settle order (``dijkstra``'s ``order``)
-    is appended to it as an ``array("i")`` of node ids. That is
-    ``rank_rows``' answer for the row when ``settles_in_order(inst.graph)``
-    holds, and unspecified otherwise.
+    With ``orders``, each center's ranked row (``dijkstra``'s ``order``) is
+    appended to it as an ``array("i")`` of node ids: ``rank_rows``' answer
+    for the row.
     """
     if orders is None:
         return [dijkstra(inst.graph, c) for c in inst.centers]
@@ -147,12 +156,14 @@ def rank_rows(rows) -> list[array]:
 
 
 def _members_by_center(inst: Instance, a: Assignment) -> list[list[int]]:
-    """Each center's assigned nodes; rejects a match of the wrong length or
-    a center index outside 0..k-1."""
+    """Each center's assigned nodes; rejects a match or dist of the wrong
+    length or a center index outside 0..k-1."""
     n = inst.graph.node_count
     k = inst.k
     if len(a.match) != n:
         raise ValueError(f"assignment covers {len(a.match)} of {n} nodes")
+    if len(a.dist) != n:
+        raise ValueError(f"assignment has {len(a.dist)} distances for {n} nodes")
     members: list[list[int]] = [[] for _ in range(k)]
     for u, c in enumerate(a.match):
         if not 0 <= c < k:
@@ -176,21 +187,24 @@ def member_ball_distances(inst: Instance, a: Assignment) -> list[list[float]]:
 
 def verify_stable(
     inst: Instance, a: Assignment, dists: list[list[float]]
-) -> QuotaViolation | BlockingPair | None:
-    """Check quotas, then search for a blocking pair; None means stable.
+) -> QuotaViolation | DistanceMismatch | BlockingPair | None:
+    """Check quotas, then each claimed distance, then search for a blocking
+    pair; None means stable.
 
     A pair (u, c) blocks when u is not assigned to c, u prefers c to its
     assigned center, and c prefers u to its least-preferred assigned node,
     all under the Score total order (so the verdict is well defined even
     with tied distances). Among blocking pairs the one with the smallest
-    Score is reported. Quota violations are reported before any search.
+    Score is reported. Quota violations are reported first, then the
+    lowest node whose ``a.dist`` entry differs from its row entry.
 
     ``dists`` holds one row per center. Full rows (``compute_center_distances``)
     work, and so does any row that is exact for every node scoring at or
     below the center's worst member and elsewhere never below the true
     distance (``member_ball_distances``): a node outside that ball then
     scores above the worst member whatever its entry holds, so it fails the
-    ``d > wd`` or ``s < wc`` test.
+    ``d > wd`` or ``s < wc`` test. Both kinds are exact at every member, so
+    each claimed distance is compared with the true one.
     """
     n = inst.graph.node_count
     k = inst.k
@@ -206,6 +220,9 @@ def verify_stable(
 
     match = a.match
     own = [dists[c][u] for u, c in enumerate(match)]
+    wrong = next(compress(range(n), map(ne, a.dist, own)), None)
+    if wrong is not None:
+        return DistanceMismatch(wrong, match[wrong], a.dist[wrong], own[wrong])
     # Worst assigned score per center, as a full Score for tie-safe compares.
     worst: list[Score | None] = [None] * k
     for u, c in enumerate(match):

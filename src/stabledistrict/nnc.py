@@ -18,15 +18,8 @@ from array import array
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
-from .graph import require_settles_in_order, settles_in_order
-from .model import (
-    Assignment,
-    Instance,
-    MemoryCapExceeded,
-    Score,
-    compute_center_distances,
-    rank_rows,
-)
+from .graph import require_settles_in_order
+from .model import Assignment, Instance, MemoryCapExceeded, Score, compute_center_distances
 
 Side = Literal["centers"]
 
@@ -244,11 +237,6 @@ def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncR
     )
 
 
-def solve_nnc(inst: Instance, oracle_factory: OracleFactory | None = None) -> Assignment:
-    """Stable assignment via the nearest-neighbor chain."""
-    return nnc_run(inst, oracle_factory).assignment
-
-
 class MutualRun(NamedTuple):
     assignment: Assignment
     pops: int
@@ -266,9 +254,9 @@ def mutual_closest_run(
     The pair of minimum Score among (unmatched node, unfilled center)
     pairs is always a mutual closest pair, so matching it greedily yields
     the unique stable solution. The full k x n distance table is
-    materialized, each center's row is ranked into (dist, node) order (its
-    search's pop order when the graph settles in order, else a sort), and
-    the k ranked rows are merged through a k-entry heap in Score order.
+    materialized with each center's row ranked into (dist, node) order
+    (``dijkstra``'s ``order``), and the k ranked rows are merged through a
+    k-entry heap in Score order.
     Pairs whose node is matched are popped and skipped, and a center's row
     leaves the heap when its quota fills, so each center pops exactly its
     ball up to its worst member: ``pops`` equals circle growing's
@@ -282,12 +270,8 @@ def mutual_closest_run(
         required = estimate_mutual_bytes(n, k)
         if required > memory_cap_bytes:
             raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
-    if settles_in_order(inst.graph):
-        ranked: list[array] = []
-        table = compute_center_distances(inst, ranked)
-    else:
-        table = compute_center_distances(inst)
-        ranked = rank_rows(table)
+    ranked: list[array] = []
+    table = compute_center_distances(inst, ranked)
     heap = [(table[c][ranked[c][0]], ranked[c][0], c) for c in range(k)]
     heapify(heap)
     next_pos = [1] * k
@@ -337,8 +321,3 @@ def _check_mutual_closest(
     assert best_node == (d, u), (
         f"center {c}: nearest unmatched node is {best_node}, selected ({d}, {u})"
     )
-
-
-def solve_mutual_closest(inst: Instance) -> Assignment:
-    """Stable assignment via repeated mutual-closest-pair extraction."""
-    return mutual_closest_run(inst).assignment

@@ -23,12 +23,10 @@ from stabledistrict import (
     generate_grid,
     mutual_closest_run,
     parse_dimacs,
-    solve_circle_growing,
-    solve_gs_centers,
-    solve_gs_nodes,
-    solve_nnc,
+    solve,
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
+from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
 from stabledistrict.graph import _lines
 from stabledistrict.nnc import DnnOracle, Side
 from stabledistrict.render import BOUNDARY_COLOR, SvgOptions, district_color
@@ -397,10 +395,10 @@ def all_solver_outputs(inst: Instance) -> dict[str, Assignment]:
     """The five solvers' assignments, keyed by their CLI names."""
     prefs = build_preferences(inst, memory_cap_bytes=None)
     return {
-        "gs-centers": solve_gs_centers(inst, prefs),
-        "gs-nodes": solve_gs_nodes(inst, prefs),
-        "circle": solve_circle_growing(inst),
-        "nnc": solve_nnc(inst),
+        "gs-centers": gs_centers_run(inst, prefs).assignment,
+        "gs-nodes": gs_nodes_run(inst, prefs).assignment,
+        "circle": solve(inst, "circle")[0],
+        "nnc": solve(inst, "nnc")[0],
         "mutual": mutual_closest_run(inst).assignment,
     }
 

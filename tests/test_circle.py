@@ -10,8 +10,7 @@ from stabledistrict import (
     compute_center_distances,
     equal_quotas,
     generate_grid,
-    solve_circle_growing,
-    solve_mutual_closest,
+    solve,
 )
 from stabledistrict.bench import derive_seed, sample_centers
 from stabledistrict.circle import circle_growing_run
@@ -39,7 +38,7 @@ def test_p6_halts_each_instance_at_quota(p6):
 
 
 def test_p5_tie_goes_to_lower_center_index(p5):
-    assert solve_circle_growing(p5).match == [0, 0, 0, 1, 1]
+    assert solve(p5, "circle")[0].match == [0, 0, 0, 1, 1]
 
 
 def test_single_center_settles_everything():
@@ -156,7 +155,7 @@ def test_trace_records_are_well_formed(p5):
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_the_reference_solver(seed):
     inst = random_sparse_instance(seed) if seed % 2 else random_grid_instance(seed)
-    assert solve_circle_growing(inst) == solve_mutual_closest(inst)
+    assert solve(inst, "circle")[0] == solve(inst, "mutual")[0]
 
 
 @pytest.mark.parametrize("seed", range(5))

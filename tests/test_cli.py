@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stabledistrict
-from stabledistrict import cli, compute_center_distances
+from stabledistrict import Instance, cli, compute_center_distances, equal_quotas, parse_tsv, sample_centers
 from stabledistrict.cli import main
 
 
@@ -97,7 +97,7 @@ def test_solve_memory_refusal_exits_3(grid_tsv, capsys):
 
 def test_unwritable_solve_output_fails_before_the_solve(grid_tsv, tmp_path, capsys, monkeypatch):
     solves = []
-    monkeypatch.setattr(cli.bench_mod, "run_algorithm", lambda *args, **kw: solves.append(args))
+    monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))
     fresh = tmp_path / "fresh.tsv"
     argv = ["solve", "--algo", "circle", "--random-centers", "6", "--seed", "1", str(grid_tsv)]
     for outputs in (["-o", str(tmp_path)], ["-o", str(fresh), "--summary", str(tmp_path)]):
@@ -203,8 +203,16 @@ def test_verify_prints_the_full_row_verdict(tmp_path, capsys, monkeypatch):
     swapped[0][1], swapped[other][1] = rows[other][1], rows[0][1]
     # Node 0's whole district moves to another center, which leaves one empty.
     broken = [[r[0], rows[other][1] if r[1] == rows[0][1] else r[1], r[2]] for r in rows]
+    # Each row claims its true distance (grid ids are dense ids), so the
+    # verdicts come from the matching alone.
+    g = parse_tsv(graph.read_text())
+    centers = sample_centers(g.node_count, 12, 3)
+    full = compute_center_distances(Instance(g, centers, equal_quotas(g.node_count, 12)))
+    true = dict(zip((str(c) for c in centers), full))
     paths = [solved]
     for name, table in (("swapped.tsv", swapped), ("broken.tsv", broken)):
+        for r in table:
+            r[2] = repr(true[r[1]][int(r[0])])
         path = tmp_path / name
         path.write_text("\n".join([header] + ["\t".join(r) for r in table]) + "\n")
         paths.append(path)
@@ -223,6 +231,29 @@ def test_verify_prints_the_full_row_verdict(tmp_path, capsys, monkeypatch):
     assert bounded[0] == (0, "STABLE\n")
     assert bounded[1][0] == 4 and bounded[1][1].startswith("UNSTABLE blocking pair: node ")
     assert bounded[2][0] == 4 and bounded[2][1].startswith("UNSTABLE quota violation: center ")
+
+
+def test_verify_checks_the_distance_column(tmp_path, capsys):
+    graph = tmp_path / "grid.tsv"
+    assert run(["generate", "--grid", "8x8", "--jitter-seed", "3", "-o", str(graph)]) == 0
+    common = ["--random-centers", "4", str(graph)]
+    solved = tmp_path / "solved.tsv"
+    assert run(["solve", "--algo", "circle", "-o", str(solved)] + common) == 0
+    header, *lines = solved.read_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    first = rows[5]
+    rows[5] = rows[5][:2] + ["0.5"]
+    rows[40] = rows[40][:2] + ["123.0"]
+    doctored = tmp_path / "doctored.tsv"
+    doctored.write_text("\n".join([header] + ["\t".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert run(["verify", "--assignment", str(solved)] + common) == 0
+    assert capsys.readouterr().out == "STABLE\n"
+    assert run(["verify", "--assignment", str(doctored)] + common) == 4
+    assert capsys.readouterr().out == (
+        f"UNSTABLE distance mismatch: node 5 is assigned to center {first[1]} at distance 0.5,"
+        f" but the true distance is {first[2]}\n"
+    )
 
 
 def test_verify_id_mismatch_exits_1(grid_tsv, tmp_path, capsys):
@@ -326,7 +357,7 @@ def test_trace_is_checked_before_the_solve_and_only_for_circle(grid_tsv, tmp_pat
     assert run(solve + ["--algo", "circle", "--quotas", str(quotas), "--trace", str(refused)]) == 2
     assert not refused.exists()
     solves = []
-    monkeypatch.setattr(cli.bench_mod, "run_algorithm", lambda *args, **kw: solves.append(args))
+    monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))
     capsys.readouterr()
     assert run(solve + ["--algo", "circle", "--trace", str(tmp_path / "no" / "t.txt")]) == 1
     err = capsys.readouterr().err

@@ -14,8 +14,7 @@ from stabledistrict import (
     equal_quotas,
     generate_grid,
     sample_centers,
-    solve_gs_centers,
-    solve_gs_nodes,
+    solve,
     verify_stable,
 )
 from stabledistrict.bench import derive_seed
@@ -83,18 +82,18 @@ def test_each_run_sorts_only_the_side_it_reads():
 
 
 def test_gs_centers_examples(p6, p5):
-    assert solve_gs_centers(p6, build_preferences(p6)).match == [0, 0, 0, 1, 1, 1]
-    assert solve_gs_centers(p5, build_preferences(p5)).match == [0, 0, 0, 1, 1]
+    assert solve(p6, "gs-centers")[0].match == [0, 0, 0, 1, 1, 1]
+    assert solve(p5, "gs-centers")[0].match == [0, 0, 0, 1, 1]
     g = path_graph(4)
     inst = Instance(g, [2], [4])
-    assert solve_gs_centers(inst, build_preferences(inst)).match == [0, 0, 0, 0]
+    assert solve(inst, "gs-centers")[0].match == [0, 0, 0, 0]
 
 
 def test_gs_nodes_examples(p6, p5, p4):
     for inst in (p6, p5):
         prefs = build_preferences(inst)
-        assert solve_gs_nodes(inst, prefs) == solve_gs_centers(inst, prefs)
-    assert solve_gs_nodes(p4, build_preferences(p4)).match == [0, 1, 1, 0]
+        assert gs_nodes_run(inst, prefs).assignment == gs_centers_run(inst, prefs).assignment
+    assert solve(p4, "gs-nodes")[0].match == [0, 1, 1, 0]
 
 
 def test_single_node_instance():
@@ -104,8 +103,8 @@ def test_single_node_instance():
     g = RoadGraph.from_edges([], node_ids=[0])
     inst = Instance(g, [0], [1])
     prefs = build_preferences(inst)
-    assert solve_gs_nodes(inst, prefs).match == [0]
-    assert solve_gs_centers(inst, prefs).match == [0]
+    assert gs_nodes_run(inst, prefs).assignment.match == [0]
+    assert gs_centers_run(inst, prefs).assignment.match == [0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -138,8 +137,8 @@ def test_quota_one_per_center():
     g = path_graph(3)
     inst = Instance(g, [0, 1, 2], equal_quotas(3, 3))
     prefs = build_preferences(inst)
-    assert solve_gs_centers(inst, prefs).match == [0, 1, 2]
-    assert solve_gs_nodes(inst, prefs).match == [0, 1, 2]
+    assert gs_centers_run(inst, prefs).assignment.match == [0, 1, 2]
+    assert gs_nodes_run(inst, prefs).assignment.match == [0, 1, 2]
 
 
 def _traced_peak(fn) -> int:

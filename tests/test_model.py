@@ -9,6 +9,7 @@ import pytest
 from stabledistrict import (
     Assignment,
     BlockingPair,
+    DistanceMismatch,
     Instance,
     InstanceError,
     QuotaViolation,
@@ -20,7 +21,7 @@ from stabledistrict import (
     equal_quotas,
     member_ball_distances,
     parse_assignment_tsv,
-    solve_mutual_closest,
+    solve,
     verify_stable,
 )
 
@@ -99,7 +100,7 @@ def test_instance_requires_connected_graph():
 
 def test_verify_stable_accepts_the_stable_assignment(p4):
     dists = compute_center_distances(p4)
-    a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 2.0])
+    a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 3.0])
     assert verify_stable(p4, a, dists) is None
     # independent route: enumerate all 8 node-center pairs directly
     assert brute_force_blocking_pairs(p4, a.match, dists) == []
@@ -151,7 +152,7 @@ def test_verify_stable_matches_brute_force_on_random_assignments():
         dists = compute_center_distances(inst)
         rng = SplitMix64(seed)
         # random quota-preserving assignment: shuffle the stable one
-        match = list(solve_mutual_closest(inst).match)
+        match = list(solve(inst, "mutual")[0].match)
         for _ in range(4):
             u = rng.next_below(n)
             v = rng.next_below(n)
@@ -189,11 +190,13 @@ def test_member_ball_rows_drain_the_tie_band_at_the_worst_member():
         [(3, 1, 1e16), (1, 2, 1.0), (2, 0, 1.0), (0, 4, 3e16)], node_ids=range(5)
     )
     inst = Instance(g, [3, 4], [2, 3])
-    a = Assignment(match=[1, 0, 1, 0, 1], dist=[0.0] * 5)
+    full = compute_center_distances(inst)
+    match = [1, 0, 1, 0, 1]
+    a = Assignment(match=match, dist=[full[c][u] for u, c in enumerate(match)])
     expected = BlockingPair(
         node=0, center=0, pair_dist=1e16, current_dist=3e16, worst_node=1, worst_dist=1e16
     )
-    assert verify_stable(inst, a, compute_center_distances(inst)) == expected
+    assert verify_stable(inst, a, full) == expected
     assert verify_stable(inst, a, member_ball_distances(inst, a)) == expected
 
 
@@ -219,7 +222,8 @@ def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
 
     # The acceptance suite, dyadic grids and sparse graphs, and graphs with
     # non-dyadic float weights down to 1e-9: every solver's output (stable
-    # on all of them) and perturbations of mutual's.
+    # on all of them), perturbations of mutual's, and mutual's with one
+    # distance one ulp off.
     cases = [(inst, outputs) for _, inst, outputs in equivalence_suite[0]]
     for seed in range(60):
         for inst in (random_grid_instance(seed), random_sparse_instance(seed)):
@@ -227,12 +231,12 @@ def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
     for seed in range(300):
         inst = random_float_instance(seed)
         cases.append((inst, all_solver_outputs(inst)))
-    verdicts = {"stable": 0, "blocked": 0, "quota": 0}
+    verdicts = {"stable": 0, "blocked": 0, "quota": 0, "distance": 0}
     for seed, (inst, outputs) in enumerate(cases):
         full = compute_center_distances(inst)
         solved = [a.match for a in outputs.values()]
         for match in solved + _perturbed(outputs["mutual"].match, inst.k, SplitMix64(seed)):
-            a = Assignment(match=match, dist=[0.0] * len(match))
+            a = Assignment(match=match, dist=[full[c][u] for u, c in enumerate(match)])
             expected = verify_stable(inst, a, full)
             assert expected is None or match not in solved, seed
             assert verify_stable(inst, a, member_ball_distances(inst, a)) == expected, seed
@@ -240,7 +244,18 @@ def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
                 verdicts["stable"] += 1
             else:
                 verdicts["blocked" if isinstance(expected, BlockingPair) else "quota"] += 1
-    assert sum(verdicts.values()) == 620 * 9
+        # The stable assignment with one claimed distance one ulp too far.
+        u = seed % inst.graph.node_count
+        match = outputs["mutual"].match
+        dist = [full[c][v] for v, c in enumerate(match)]
+        true = dist[u]
+        dist[u] = math.nextafter(true, math.inf)
+        a = Assignment(match=match, dist=dist)
+        expected = DistanceMismatch(node=u, center=match[u], claimed=dist[u], true=true)
+        assert verify_stable(inst, a, full) == expected, seed
+        assert verify_stable(inst, a, member_ball_distances(inst, a)) == expected, seed
+        verdicts["distance"] += 1
+    assert sum(verdicts.values()) == 620 * 10
     assert min(verdicts.values()) > 300, verdicts
 
 
@@ -263,12 +278,13 @@ def test_integer_dimacs_instances_agree_and_verify_stable():
 
 def test_member_ball_distances_validates_like_verify_stable(p4):
     dists = compute_center_distances(p4)
-    for match, message in (
-        ([0, 1, 1], "assignment covers 3 of 4 nodes"),
-        ([0, 1, 2, 0], "node 2 assigned to invalid center index 2"),
-        ([0, -1, 1, 0], "node 1 assigned to invalid center index -1"),
+    for match, dist, message in (
+        ([0, 1, 1], [0.0] * 3, "assignment covers 3 of 4 nodes"),
+        ([0, 1, 1, 0], [0.0] * 3, "assignment has 3 distances for 4 nodes"),
+        ([0, 1, 2, 0], [0.0] * 4, "node 2 assigned to invalid center index 2"),
+        ([0, -1, 1, 0], [0.0] * 4, "node 1 assigned to invalid center index -1"),
     ):
-        a = Assignment(match=match, dist=[0.0] * len(match))
+        a = Assignment(match=match, dist=dist)
         with pytest.raises(ValueError, match=message):
             verify_stable(p4, a, dists)
         with pytest.raises(ValueError, match=message):
@@ -281,7 +297,7 @@ def test_member_ball_distances_validates_like_verify_stable(p4):
 
 
 def test_assignment_tsv_roundtrip(p6):
-    a = solve_mutual_closest(p6)
+    a = solve(p6, "mutual")[0]
     text = assignment_to_tsv(p6, a)
     lines = text.splitlines()
     assert lines[0] == "node_original_id\tcenter_original_id\tdistance"
@@ -291,7 +307,7 @@ def test_assignment_tsv_roundtrip(p6):
 
 
 def test_assignment_tsv_error_cases(p6):
-    a = solve_mutual_closest(p6)
+    a = solve(p6, "mutual")[0]
     text = assignment_to_tsv(p6, a)
     with pytest.raises(ValueError, match="unknown center"):
         parse_assignment_tsv(text, p6.graph, [0, 4])
@@ -306,7 +322,7 @@ def test_assignment_tsv_error_cases(p6):
 
 
 def test_assignment_summary_statistics(p6):
-    a = solve_mutual_closest(p6)
+    a = solve(p6, "mutual")[0]
     summary = assignment_summary(p6, a)
     assert summary["n"] == 6 and summary["k"] == 2
     first = summary["centers"][0]

@@ -8,8 +8,7 @@ from stabledistrict import (
     Score,
     compute_center_distances,
     fast_oracle_factory,
-    solve_mutual_closest,
-    solve_nnc,
+    solve,
     verify_stable,
 )
 from stabledistrict.bench import SplitMix64
@@ -71,13 +70,13 @@ def test_fast_oracle_factory_has_no_nodes_side(p6):
 
 
 def test_chain_solves_p6(p6):
-    assert solve_nnc(p6).match == [0, 0, 0, 1, 1, 1]
+    assert solve(p6, "nnc")[0].match == [0, 0, 0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_chain_matches_reference_with_both_factories(seed):
     inst = random_sparse_instance(seed) if seed % 2 else random_grid_instance(seed)
-    expected = solve_mutual_closest(inst)
+    expected = solve(inst, "mutual")[0]
     fast = nnc_run(inst, fast_oracle_factory)
     slow = nnc_run(inst, truncated_dijkstra_oracle)
     assert fast.assignment == expected
@@ -141,8 +140,8 @@ def test_mutual_closest_match_order(p4):
 
 
 def test_mutual_closest_examples(p5, p6):
-    assert solve_mutual_closest(p5).match == [0, 0, 0, 1, 1]
-    assert solve_mutual_closest(p6).match == [0, 0, 0, 1, 1, 1]
+    assert solve(p5, "mutual")[0].match == [0, 0, 0, 1, 1]
+    assert solve(p6, "mutual")[0].match == [0, 0, 0, 1, 1, 1]
 
 
 def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():

@@ -11,8 +11,7 @@ from stabledistrict import (
     parse_dimacs,
     render_geojson,
     render_svg,
-    solve_circle_growing,
-    solve_mutual_closest,
+    solve,
 )
 from stabledistrict.bench import SplitMix64, generate_grid, sample_centers
 from stabledistrict.render import PALETTE, SvgOptions, district_color
@@ -37,7 +36,7 @@ def _p6_with_coords():
 def test_single_district_renders_one_path_one_marker():
     g = _p3_with_coords()
     inst = Instance(g, [1], [3])
-    svg = render_svg(inst, solve_mutual_closest(inst))
+    svg = render_svg(inst, solve(inst, "mutual")[0])
     assert svg.count("<path ") == 1
     assert svg.count("<circle ") == 1
     assert svg.count(district_color(0)) == 2  # the path and the marker
@@ -46,7 +45,7 @@ def test_single_district_renders_one_path_one_marker():
 def test_two_districts_render_two_colored_paths_and_one_gray():
     g = _p6_with_coords()
     inst = Instance(g, [0, 5], [3, 3])
-    a = solve_mutual_closest(inst)
+    a = solve(inst, "mutual")[0]
     svg = render_svg(inst, a)
     assert svg.count("<path ") == 3  # two district paths + the boundary edge
     assert svg.count("#9e9e9e") == 1
@@ -59,7 +58,7 @@ def test_svg_is_deterministic_and_flips_y():
         coords={0: (0.0, 0.0), 1: (1.0, 2.0), 2: (2.0, 0.0)},
     )
     inst = Instance(g, [0], [3])
-    a = solve_mutual_closest(inst)
+    a = solve(inst, "mutual")[0]
     svg1 = render_svg(inst, a)
     svg2 = render_svg(inst, a)
     assert svg1 == svg2
@@ -70,20 +69,20 @@ def test_svg_is_deterministic_and_flips_y():
 
 def test_svg_requires_coordinates(p6):
     with pytest.raises(ValueError, match="no coordinates"):
-        render_svg(p6, solve_mutual_closest(p6))
+        render_svg(p6, solve(p6, "mutual")[0])
 
 
 def test_svg_options_control_size():
     g = _p3_with_coords()
     inst = Instance(g, [1], [3])
-    svg = render_svg(inst, solve_mutual_closest(inst), SvgOptions(width=500.0))
+    svg = render_svg(inst, solve(inst, "mutual")[0], SvgOptions(width=500.0))
     assert 'viewBox="0 0 500.00' in svg
 
 
 def test_svg_bytes_match_the_edge_by_edge_reference():
     for seed in range(60):
         inst = random_grid_instance(seed)
-        a = solve_circle_growing(inst)
+        a = solve(inst, "circle")[0]
         assert render_svg(inst, a) == reference_render_svg(inst, a), seed
 
 
@@ -110,7 +109,7 @@ def test_svg_bytes_match_the_reference_on_dimacs_coordinates_and_options():
     gr, co = _dimacs_with_coordinates(9, 7, 3)
     g = parse_dimacs(gr, co)
     inst = Instance(g, sample_centers(g.node_count, 5, 11), equal_quotas(g.node_count, 5))
-    a = solve_circle_growing(inst)
+    a = solve(inst, "circle")[0]
     assert render_svg(inst, a) == reference_render_svg(inst, a)
     opts = SvgOptions(
         width=640.0, margin_frac=0.05, edge_width=1.5, marker_radius=3.25,
@@ -130,7 +129,7 @@ def test_palette_has_enough_distinct_colors():
 def test_geojson_feature_counts_and_properties():
     g = generate_grid(3, 3)
     inst = Instance(g, [0, 8], [5, 4])
-    a = solve_mutual_closest(inst)
+    a = solve(inst, "mutual")[0]
     doc = json.loads(render_geojson(inst, a))
     assert doc["type"] == "FeatureCollection"
     features = doc["features"]
@@ -149,11 +148,11 @@ def test_geojson_feature_counts_and_properties():
 
 def test_geojson_requires_coordinates(p6):
     with pytest.raises(ValueError, match="no coordinates"):
-        render_geojson(p6, solve_mutual_closest(p6))
+        render_geojson(p6, solve(p6, "mutual")[0])
 
 
 def test_geojson_is_deterministic():
     g = generate_grid(4, 2)
     inst = Instance(g, [0, 7], [4, 4])
-    a = solve_mutual_closest(inst)
+    a = solve(inst, "mutual")[0]
     assert render_geojson(inst, a) == render_geojson(inst, a)

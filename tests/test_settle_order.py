@@ -1,11 +1,14 @@
-"""The settle-order guard: a center's search pops its preference list.
+"""The settle-order guard and the ranked rows ``dijkstra`` hands back.
 
-Where no weight can be absorbed by rounding, each full search's pop order
-is the stable sort of its distance row, so gs-centers and the mutual
-reference read it instead of sorting. Where one can, they sort, and circle
-growing and the chain solver refuse the graph. Full searches on graphs
-whose weight spread fits ``graph.fits_bucket_ring`` drain a bucket ring
-instead of the heap; their rows and orders equal the heap's bit for bit.
+A full search's ``order`` is the stable sort of its distance row on every
+graph, and gs-centers and the mutual reference read it as their ranked
+rows. Where no weight can be absorbed by rounding, a heap search's pop
+order is that sort and is taken as is. Where one can, the pops may leave
+that order, so ``dijkstra`` sorts the row, and circle growing and the
+chain solver refuse the graph. Full searches on graphs whose weight spread
+fits ``graph.fits_bucket_ring`` drain a bucket ring instead of the heap;
+their rows equal the heap's bit for bit, and so do their orders wherever
+the graph settles in order.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ from stabledistrict import (
     compute_center_distances,
     dijkstra,
     mutual_closest_run,
-    solve_circle_growing,
-    solve_gs_centers,
-    solve_gs_nodes,
-    solve_nnc,
+    solve,
 )
 from stabledistrict import gale_shapley, graph, nnc
 from stabledistrict.bench import generate_grid
@@ -49,7 +49,7 @@ def stable_sort(row) -> list[int]:
 
 class SearchSpy:
     """Wraps a module's ``compute_center_distances``; records, per call,
-    the pop orders it was asked for (None when it was not) and its rows."""
+    the ranked rows it was asked for (None when it was not) and its rows."""
 
     def __init__(self, monkeypatch, module):
         self.calls: list[tuple[list | None, list]] = []
@@ -112,9 +112,13 @@ def test_the_ring_accepts_absorbing_seeds_only_where_they_settle_in_order(monkey
         fits = fits_bucket_ring(g)
         assert not fits or settles_in_order(g), seed
         ring += fits
+        in_order = settles_in_order(g)
         searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
         assert streamed == (0 if fits else g.node_count), seed
-        assert searches == [heap_search(g, s) for s in range(g.node_count)], seed
+        for s, (row, order) in enumerate(searches):
+            heap_row, pops = heap_search(g, s)
+            assert row == heap_row, seed
+            assert order == (pops if in_order else stable_sort(array("d", row))), seed
     assert 0 < ring < len(ABSORBING_SEEDS) // 10
 
 
@@ -133,10 +137,11 @@ def test_graphs_outside_the_ring_guard_take_the_heap(monkeypatch):
 
 def test_the_witness_pops_out_of_order_and_fails_the_guard():
     g = RoadGraph.from_edges([(3, 2, 1.0), (2, 0, 1e-17), (3, 1, 1.0)])
+    row, pops = heap_search(g, 3)
+    assert pops == [3, 1, 2, 0]  # 1 + 1e-17 == 1: node 0 is pushed tied after node 1 pops
     order: list[int] = []
-    row = dijkstra(g, 3, order=order)
-    assert order == [3, 1, 2, 0]  # 2 + 1e-17 == 2: node 0 is pushed tied after node 1 pops
-    assert stable_sort(row) == [3, 0, 1, 2]
+    assert array("d", dijkstra(g, 3, order=order)).tobytes() == row
+    assert order == stable_sort(array("d", row)) == [3, 0, 1, 2]
     assert not settles_in_order(g)
     with pytest.raises(GraphError, match=r"smallest edge weight 1e-17 .* bound 4\.0"):
         require_settles_in_order(g)
@@ -171,9 +176,6 @@ def test_gs_centers_and_mutual_read_the_pop_orders(monkeypatch):
 def test_absorbing_weights_take_the_sorting_fallback(monkeypatch):
     gs_spy = SearchSpy(monkeypatch, gale_shapley)
     mutual_spy = SearchSpy(monkeypatch, nnc)
-    ranked = []
-    rank_rows = nnc.rank_rows
-    monkeypatch.setattr(nnc, "rank_rows", lambda rows: ranked.append(rank_rows(rows)) or ranked[-1])
     fallbacks = 0
     for seed in ABSORBING_SEEDS:
         inst = random_absorbing_instance(seed)
@@ -183,19 +185,18 @@ def test_absorbing_weights_take_the_sorting_fallback(monkeypatch):
         center_prefs = [list(r) for r in prefs.center_prefs]
         run = mutual_closest_run(inst)
         (gs_orders, rows), (mutual_orders, _) = gs_spy.calls.pop(), mutual_spy.calls.pop()
-        assert (gs_orders is not None, mutual_orders is not None) == (in_order, in_order), seed
-        mutual_rows = mutual_orders if in_order else ranked.pop()
+        assert gs_orders is not None and mutual_orders is not None, seed
         assert center_prefs == [stable_sort(row) for row in rows], seed
-        assert [list(r) for r in mutual_rows] == center_prefs, seed
+        assert [list(o) for o in mutual_orders] == center_prefs, seed
         match, dist, _ = reference_mutual_closest(inst)
-        for a in (solve_gs_centers(inst, prefs), solve_gs_nodes(inst, prefs), run.assignment):
+        for a in (gs_centers_run(inst, prefs).assignment, gs_nodes_run(inst, prefs).assignment, run.assignment):
             assert (a.match, a.dist) == (match, dist), seed
-        for solve in (solve_circle_growing, solve_nnc):
+        for algo in ("circle", "nnc"):
             if in_order:
-                assert solve(inst).match == match, seed
+                assert solve(inst, algo)[0].match == match, seed
             else:
                 with pytest.raises(GraphError, match="smallest edge weight 1e-17"):
-                    solve(inst)
+                    solve(inst, algo)
     assert fallbacks > len(ABSORBING_SEEDS) // 2
 
 
