@@ -6,14 +6,19 @@ ids are remapped to a dense 0..n-1 range with the source-file ids kept in
 ``original_ids``. The parsers validate each line once and fold it straight
 into the edge map that ``RoadGraph.from_edges`` also builds; all three end
 in ``_build``. A constructed ``RoadGraph`` is treated as immutable and is
-safe for concurrent reads.
+safe for concurrent reads. Its one cache, ``_weight_span``, is written
+whole and only with values that hold for the graph, so a reader that races
+a write at worst recomputes the weights or runs the heap once more, and
+gets the same row.
 
 Shortest paths have two drains. ``settle_stream`` is a binary-heap
 Dijkstra that yields nodes as they settle; circle growing, targeted
-searches, and full searches of graphs with a wide weight spread use it.
+searches, and full searches that ``fits_bucket_ring`` turns away use it.
 A full ``dijkstra`` search of a graph that passes ``fits_bucket_ring``
 drains ``_drain_ring``, Dial's bucket queue, instead; its rows equal the
-heap's bit for bit.
+heap's bit for bit. A graph whose weight sum is too large for the ring may
+still pass by the radius its first full search records: integer road
+weights do.
 """
 
 from __future__ import annotations
@@ -60,10 +65,11 @@ class RoadGraph:
     coords: list[tuple[float, float]] | None
     original_ids: list[int]
     _orig_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-    # (smallest weight, distance bound), filled by the first settles_in_order
-    # call. A field, not a cached property: that would give the instance a
-    # real __dict__, and every attribute read of the graph would get slower.
-    _weight_span: tuple[float, float] | None = field(repr=False, compare=False, default=None)
+    # _weight_range's (w_min, w_max, bound, radius), filled on first use. A
+    # field, not a cached property: that would give the instance a real
+    # __dict__, and every attribute read of the graph would get slower.
+    _weight_span: tuple[float, float, float, float | None] | None = field(
+        repr=False, compare=False, default=None)
 
     @classmethod
     def from_edges(
@@ -406,11 +412,12 @@ def _drain_ring(
                     ring[int(nd / w_min) % size].append((nd, v))
 
 
-def _weight_range(g: RoadGraph) -> tuple[float, float, float]:
-    """The smallest and largest edge weight and twice the sum of all
-    weights, (inf, 0.0, 0.0) without edges. Every distance a search
-    computes is at most that sum, rounding included. One O(m) pass on first
-    use, over each edge from both ends; the graph keeps it."""
+def _weight_range(g: RoadGraph) -> tuple[float, float, float, float | None]:
+    """The smallest and largest edge weight, twice the sum of all weights,
+    (inf, 0.0, 0.0) without edges, and the learned radius (None until a full
+    heap search records one). Every distance a search computes is at most
+    that sum, rounding included. One O(m) pass on first use, over each edge
+    from both ends; the graph keeps it."""
     if g._weight_span is None:
         w_min, w_max, bound = INF, 0.0, 0.0
         for row in g.adjacency:
@@ -420,7 +427,7 @@ def _weight_range(g: RoadGraph) -> tuple[float, float, float]:
                     w_min = w
                 if w > w_max:
                     w_max = w
-        object.__setattr__(g, "_weight_span", (w_min, w_max, bound))  # a cache; the graph stays immutable
+        object.__setattr__(g, "_weight_span", (w_min, w_max, bound, None))  # a cache; the graph stays immutable
     return g._weight_span
 
 
@@ -435,27 +442,35 @@ def settles_in_order(g: RoadGraph) -> bool:
     solver's labels rely on, and that ``dijkstra``'s ``order`` takes
     from a heap search without sorting its row.
     """
-    w_min, _, bound = _weight_range(g)
+    w_min, _, bound, _ = _weight_range(g)
     return w_min >= math.ulp(bound)
 
 
 def fits_bucket_ring(g: RoadGraph) -> bool:
     """Whether full searches of ``g`` drain ``_drain_ring`` instead of a heap.
 
-    True when ``g`` has an edge and the distance bound is at most 4(n + m)
-    smallest weights: no search distance exceeds half the bound, so a search
-    visits at most 2(n + m) buckets of width ``w_min``. Such a graph also
-    settles in order, since ``w_min`` is then far above one ulp of the bound.
+    True when ``g`` has an edge and no search visits more than 2(n + m)
+    buckets of width ``w_min``. Either of two bounds on a search's reach
+    shows it: half the distance bound, when that is at most 4(n + m)
+    smallest weights (``w_min`` is then far above one ulp of it, so ``g``
+    settles in order), or twice the radius ``dijkstra`` records on its
+    first full heap search, by the triangle inequality (inf if a node went
+    unreached). The radius also needs ``settles_in_order(g)`` and a ring of
+    ``w_max / w_min + 2`` slots within 2(n + m), so that one huge weight on
+    no shortest path cannot allocate a huge ring.
     """
-    w_min, _, bound = _weight_range(g)
-    return g.edge_count > 0 and bound / w_min <= 4 * (g.node_count + g.edge_count)
+    w_min, w_max, bound, radius = _weight_range(g)
+    cap = 2 * (g.node_count + g.edge_count)
+    return g.edge_count > 0 and (bound / w_min <= 2 * cap or (
+        radius is not None and 2 * radius / w_min <= cap and w_max / w_min + 2 <= cap
+        and settles_in_order(g)))
 
 
 def require_settles_in_order(g: RoadGraph) -> None:
     """Raise GraphError unless ``settles_in_order(g)``, naming the smallest
     weight and the distance bound it falls below one ulp of."""
     if not settles_in_order(g):
-        w_min, _, bound = _weight_range(g)
+        w_min, _, bound, _ = _weight_range(g)
         raise GraphError(
             f"smallest edge weight {w_min!r} is below one ulp of the distance bound"
             f" {bound!r}; rounding can absorb it, so searches may settle out of order"
@@ -472,11 +487,13 @@ def dijkstra(
 
     A full search (no ``targets``) drains ``_drain_ring`` when
     ``fits_bucket_ring(g)`` holds and ``settle_stream`` otherwise; both give
-    the same row bit for bit. ``order``, a list or an ``array("i")``, is
-    extended with a full search's reachable nodes sorted by ``(dist, node)``,
-    a center's ranked row, on every graph: the heap's pop order when
-    ``settles_in_order(g)`` holds, and otherwise, as on the ring, the row
-    stably sorted by distance, so ties go to the smaller id.
+    the same row bit for bit. The graph's first full heap search records its
+    row's largest entry as the radius that guard reads. ``order``, a list or
+    an ``array("i")``, is extended with a full search's reachable nodes
+    sorted by ``(dist, node)``, a center's ranked row, on every graph: the
+    heap's pop order when ``settles_in_order(g)`` holds, and otherwise, as
+    on the ring, the row stably sorted by distance, so ties go to the
+    smaller id.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -493,13 +510,17 @@ def dijkstra(
     dist = [INF] * n
     if targets is None:
         if fits_bucket_ring(g):
-            w_min, w_max, _ = _weight_range(g)
+            w_min, w_max, _, _ = _weight_range(g)
             _drain_ring(g.adjacency, source, dist, w_min, w_max)
-        elif order is not None and settles_in_order(g):
-            order.extend([u for _, u in settle_stream(g.adjacency, source, dist)])
-            return dist
         else:
-            deque(settle_stream(g.adjacency, source, dist), maxlen=0)
+            if order is not None and settles_in_order(g):
+                order.extend([u for _, u in settle_stream(g.adjacency, source, dist)])
+                order = None  # the pops are the ranked row: no sort below
+            else:
+                deque(settle_stream(g.adjacency, source, dist), maxlen=0)
+            span = _weight_range(g)
+            if span[3] is None:
+                object.__setattr__(g, "_weight_span", (*span[:3], max(dist)))
         if order is not None:  # a stable sort breaks distance ties by node id
             ranked = sorted(range(n), key=dist.__getitem__)
             del ranked[n - dist.count(INF):]

@@ -21,6 +21,7 @@ from stabledistrict import (
     compute_center_distances,
     equal_quotas,
     generate_grid,
+    largest_component,
     mutual_closest_run,
     parse_dimacs,
     solve,
@@ -190,6 +191,21 @@ def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
     k = 1 + rng.next_below(min(max(1, n // 2), 8))
     centers = sample_centers(n, k, derive_seed(seed, 0xF4))
     return Instance(g, centers, zipf_quotas(n, k))
+
+
+def dropped_edge_grid(side: int, seed: int, drop_pct: int = 12) -> RoadGraph:
+    """The largest component of a side x side grid whose edges carry integer
+    weights 1-100, each edge dropped with probability drop_pct/100: the
+    shape and weights of a DIMACS road file."""
+    rng = SplitMix64(derive_seed(seed, 0xD5))
+    edges = []
+    for y in range(side):
+        for x in range(side):
+            u = y * side + x
+            for v, inside in ((u + 1, x + 1 < side), (u + side, y + 1 < side)):
+                if inside and rng.next_below(100) >= drop_pct:
+                    edges.append((u, v, float(1 + rng.next_below(100))))
+    return largest_component(RoadGraph.from_edges(edges, node_ids=range(side * side)))
 
 
 def reference_from_edges(edges, node_ids=None, coords=None) -> RoadGraph:

@@ -23,6 +23,7 @@ from helpers import (
     acceptance_grid_instance,
     cycle_graph,
     path_graph,
+    random_dimacs_instance,
     random_dimacs_text,
     random_float_instance,
     random_grid_instance,
@@ -469,6 +470,7 @@ def test_dijkstra_matches_networkx_full_and_with_targets():
     graphs = [generate_grid(3 + s % 7, 2 + s % 5, jitter_seed=s) for s in range(20)]
     graphs += [random_sparse_instance(s).graph for s in range(20)]
     graphs += [random_float_instance(s).graph for s in range(20)]
+    graphs += [random_dimacs_instance(s).graph for s in range(20)]
     for seed, g in enumerate(graphs):
         ng = nx.Graph()
         ng.add_nodes_from(range(g.node_count))

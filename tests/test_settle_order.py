@@ -14,6 +14,7 @@ the graph settles in order.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,7 @@ from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
 from stabledistrict.graph import INF, fits_bucket_ring, require_settles_in_order, settle_stream, settles_in_order
 
 from helpers import (
+    dropped_edge_grid,
     helper_corpus,
     path_graph,
     random_absorbing_instance,
@@ -89,13 +91,24 @@ def full_searches(monkeypatch, g: RoadGraph, sources) -> tuple[list, int]:
     return searches, len(streams)
 
 
+def chorded_path(chord: float, extra=()) -> RoadGraph:
+    """A 20-node path of unit weights closed into a cycle by one ``chord``,
+    which lies on no shortest path, plus the ``extra`` edges."""
+    return RoadGraph.from_edges([(i, i + 1, 1.0) for i in range(19)] + [(0, 19, chord), *extra])
+
+
 def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
-    graphs = [inst.graph for _, _, inst in helper_corpus() if fits_bucket_ring(inst.graph)]
-    assert len(graphs) == 188
-    for g in graphs:
+    taken: Counter = Counter()
+    for name, seed, inst in helper_corpus():
+        g = inst.graph
+        by_weight_sum = fits_bucket_ring(g)
         searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
-        assert streamed == 0
-        assert searches == [heap_search(g, s) for s in range(g.node_count)]
+        by_radius = not by_weight_sum and fits_bucket_ring(g)
+        assert streamed == (0 if by_weight_sum else 1 if by_radius else g.node_count), (name, seed)
+        assert searches == [heap_search(g, s) for s in range(g.node_count)], (name, seed)
+        taken[by_weight_sum, by_radius] += 1
+    # The 19 graphs that pass by their radius are all random_dimacs_instance's.
+    assert taken == {(True, False): 188, (False, True): 19, (False, False): 93}
     for side in (32, 64):
         g = generate_grid(side, side, jitter_seed=7)
         assert fits_bucket_ring(g)
@@ -105,16 +118,37 @@ def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
         assert searches == [heap_search(g, s) for s in sources]
 
 
+def test_a_learned_radius_sends_road_graphs_to_the_ring_after_their_first_search(monkeypatch):
+    road = dropped_edge_grid(50, 7)
+    graphs = [
+        (road, range(0, road.node_count, 29), 1),  # twice its weight sum is 63 (n + m) w_min
+        (chorded_path(70.0), range(20), 1),  # 178 > 4(n + m) w_min, radius 19, ring of 72 slots
+        (path_graph(5, [1.0, 2.0, 1.0, 3.0]), range(5), 0),  # within the weight-sum bound
+        (chorded_path(1.0, [(20, 21, 1.0)]), range(22), 0),  # disconnected, within it too
+    ]
+    for g, sources, streams in graphs:
+        searches, streamed = full_searches(monkeypatch, g, sources)
+        assert streamed == streams and fits_bucket_ring(g)
+        assert searches == [heap_search(g, s) for s in sources]
+    # Below about 2**25 nodes and edges the ring's size cap implies the
+    # settle order; the radius must still never override that guard.
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "settles_in_order", lambda g: False)
+        g = chorded_path(70.0)
+        assert full_searches(monkeypatch, g, range(20))[1] == 20 and not fits_bucket_ring(g)
+
+
 def test_the_ring_accepts_absorbing_seeds_only_where_they_settle_in_order(monkeypatch):
     ring = 0
     for seed in ABSORBING_SEEDS:
         g = random_absorbing_instance(seed).graph
-        fits = fits_bucket_ring(g)
-        assert not fits or settles_in_order(g), seed
-        ring += fits
+        by_weight_sum = fits_bucket_ring(g)
         in_order = settles_in_order(g)
         searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
-        assert streamed == (0 if fits else g.node_count), seed
+        fits = fits_bucket_ring(g)
+        assert not fits or in_order, seed
+        assert streamed == (0 if by_weight_sum else 1 if fits else g.node_count), seed
+        ring += fits
         for s, (row, order) in enumerate(searches):
             heap_row, pops = heap_search(g, s)
             assert row == heap_row, seed
@@ -125,6 +159,8 @@ def test_the_ring_accepts_absorbing_seeds_only_where_they_settle_in_order(monkey
 def test_graphs_outside_the_ring_guard_take_the_heap(monkeypatch):
     floats = [random_float_instance(seed).graph for seed in range(60)]
     graphs = [RoadGraph.from_edges([], node_ids=[0]), path_graph(3, [1.0, 1e6])]
+    graphs.append(chorded_path(1e6))  # radius 19, but a ring of 1e6 + 2 slots
+    graphs.append(chorded_path(70.0, [(20, 21, 1.0)]))  # disconnected: its radius is inf
     graphs += [g for g in floats if not fits_bucket_ring(g)]
     assert len(graphs) > 50
     for g in graphs:
