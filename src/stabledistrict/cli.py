@@ -231,8 +231,8 @@ def cmd_render(args) -> int:
         if not g.has_original_id(oid):
             raise ValueError(f"assignment center id {oid} not present in the graph")
     centers = [g.dense_id(oid) for oid in members]
+    assignment = assignment_from_rows(rows, g, centers)  # coverage errors before quota ones, as in verify
     inst = Instance(g, centers, list(members.values()))
-    assignment = assignment_from_rows(rows, g, centers)
     if args.output.endswith(".geojson") or args.output.endswith(".json"):
         _write_text(args.output, render_geojson(inst, assignment))
     else:

@@ -2,12 +2,9 @@
 
 Both variants read a k x n score table from one shortest-path pass per
 center, so memory is Theta(n*k). The searches run on the table's first
-read, and each side's preference lists are built on first use: the
-center-proposing run reads only the centers' lists and the node-proposing
-run only the nodes', so neither pays for the other side's. When the
-center side is read first, its lists are the ranked rows the searches
-hand back (``dijkstra``'s ``order``); read after the table, they are
-sorted from it.
+read, and each side's preference lists are sorted from the table on first
+use: the center-proposing run reads only the centers' lists and the
+node-proposing run only the nodes', so neither pays for the other side's.
 Because the table is a real failure mode on large inputs,
 ``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
 when the estimated size of the table and both sides' lists exceeds a
@@ -52,9 +49,7 @@ class PreferenceTables:
     center_prefs[c] ranks all nodes for center c, best first; node_prefs[u]
     ranks all center indices for node u. Both orders are strict under the
     Score total order: ties in distance fall back to node id (center side)
-    or center index (node side). A first read of ``center_prefs`` keeps the
-    searches' ranked rows; a first read of ``dist`` or ``node_prefs`` runs
-    the searches alone, and ``center_prefs`` read after that sorts the rows.
+    or center index (node side).
     """
 
     inst: Instance
@@ -65,10 +60,6 @@ class PreferenceTables:
 
     @cached_property
     def center_prefs(self) -> list[array]:
-        if "dist" not in vars(self):
-            orders: list[array] = []
-            self.dist = _distance_arrays(compute_center_distances(self.inst, orders))
-            return orders
         return rank_rows(self.dist)
 
     # A stable sort over the index range breaks distance ties by center
@@ -113,7 +104,7 @@ def gs_centers_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     """
     n = inst.graph.node_count
     k = inst.k
-    center_prefs = prefs.center_prefs  # first: a fresh table keeps the searches' ranked rows
+    center_prefs = prefs.center_prefs
     dist = prefs.dist
     slots = list(inst.quotas)
     pointer = [0] * k

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, count
-from typing import IO, Iterable, Iterator, MutableSequence
+from typing import IO, Iterable, Iterator
 
 INF = math.inf
 
@@ -439,8 +439,7 @@ def settles_in_order(g: RoadGraph) -> bool:
     distance bound keeps every relaxation strictly above its settled node.
     Every ``settle_stream`` of ``g`` then pops in non-decreasing
     ``(dist, node)`` order: the order circle growing and the chain
-    solver's labels rely on, and that ``dijkstra``'s ``order`` takes
-    from a heap search without sorting its row.
+    solver's labels rely on.
     """
     w_min, _, bound, _ = _weight_range(g)
     return w_min >= math.ulp(bound)
@@ -477,23 +476,13 @@ def require_settles_in_order(g: RoadGraph) -> None:
         )
 
 
-def dijkstra(
-    g: RoadGraph,
-    source: int,
-    targets: Iterable[int] | None = None,
-    order: MutableSequence[int] | None = None,
-) -> list[float]:
+def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) -> list[float]:
     """Single-source shortest paths: distance per node, inf where unreachable.
 
     A full search (no ``targets``) drains ``_drain_ring`` when
     ``fits_bucket_ring(g)`` holds and ``settle_stream`` otherwise; both give
     the same row bit for bit. The graph's first full heap search records its
-    row's largest entry as the radius that guard reads. ``order``, a list or
-    an ``array("i")``, is extended with a full search's reachable nodes
-    sorted by ``(dist, node)``, a center's ranked row, on every graph: the
-    heap's pop order when ``settles_in_order(g)`` holds, and otherwise, as
-    on the ring, the row stably sorted by distance, so ties go to the
-    smaller id.
+    row's largest entry as the radius that guard reads.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -513,18 +502,10 @@ def dijkstra(
             w_min, w_max, _, _ = _weight_range(g)
             _drain_ring(g.adjacency, source, dist, w_min, w_max)
         else:
-            if order is not None and settles_in_order(g):
-                order.extend([u for _, u in settle_stream(g.adjacency, source, dist)])
-                order = None  # the pops are the ranked row: no sort below
-            else:
-                deque(settle_stream(g.adjacency, source, dist), maxlen=0)
+            deque(settle_stream(g.adjacency, source, dist), maxlen=0)
             span = _weight_range(g)
             if span[3] is None:
                 object.__setattr__(g, "_weight_span", (*span[:3], max(dist)))
-        if order is not None:  # a stable sort breaks distance ties by node id
-            ranked = sorted(range(n), key=dist.__getitem__)
-            del ranked[n - dist.count(INF):]
-            order.extend(ranked)
         return dist
     stream = settle_stream(g.adjacency, source, dist)
     left = set(targets)

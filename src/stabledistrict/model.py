@@ -132,26 +132,15 @@ class BlockingPair(NamedTuple):
     worst_dist: float
 
 
-def compute_center_distances(inst: Instance, orders: list[array] | None = None) -> list[list[float]]:
-    """One shortest-path row per center, in center order.
-
-    With ``orders``, each center's ranked row (``dijkstra``'s ``order``) is
-    appended to it as an ``array("i")`` of node ids: ``rank_rows``' answer
-    for the row.
-    """
-    if orders is None:
-        return [dijkstra(inst.graph, c) for c in inst.centers]
-    rows = []
-    for c in inst.centers:
-        order = array("i")
-        rows.append(dijkstra(inst.graph, c, order=order))
-        orders.append(order)
-    return rows
+def compute_center_distances(inst: Instance) -> list[list[float]]:
+    """One shortest-path row per center, in center order."""
+    return [dijkstra(inst.graph, c) for c in inst.centers]
 
 
 def rank_rows(rows) -> list[array]:
-    """Each row's node ids in ``(dist, node)`` order, best first: a stable
-    sort over the index range breaks distance ties by node id."""
+    """Each row's node ids in ``(dist, node)`` order, best first: a center's
+    preference list. A stable sort over the index range breaks distance ties
+    by node id."""
     return [array("i", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
 
 

@@ -14,12 +14,11 @@ same matching.
 
 from __future__ import annotations
 
-from array import array
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
 from .graph import require_settles_in_order
-from .model import Assignment, Instance, MemoryCapExceeded, Score, compute_center_distances
+from .model import Assignment, Instance, MemoryCapExceeded, Score, compute_center_distances, rank_rows
 
 Side = Literal["centers"]
 
@@ -27,11 +26,10 @@ Side = Literal["centers"]
 # distance-table entry (a 24-byte boxed float and its 8-byte list slot)
 # plus a 4-byte id in the center's ranked row. Per node: the match, dist
 # and order list slots, an order entry (a 56-byte 2-tuple and a 28-byte
-# boxed node id), and one row's ranking scratch (for a sort: a boxed
-# index, its list and key slots, merge space; for a pop order, a list
-# slot). Per center: a merge-heap entry (a 64-byte 3-tuple, its slot and a
-# boxed node id), the table row's list header, the ranked row's array
-# header, and its list slots.
+# boxed node id), and one row's sort scratch (a boxed index, its list and
+# key slots, merge space). Per center: a merge-heap entry (a 64-byte
+# 3-tuple, its slot and a boxed node id), the table row's list header, the
+# ranked row's array header, and its list slots.
 MUTUAL_PAIR_BYTES = 36
 MUTUAL_NODE_BYTES = 160
 MUTUAL_CENTER_BYTES = 256
@@ -243,26 +241,19 @@ class MutualRun(NamedTuple):
     order: list[tuple[int, int]]  # (node, center) in match order
 
 
-def mutual_closest_run(
-    inst: Instance,
-    *,
-    check_steps: bool = False,
-    memory_cap_bytes: int | None = None,
-) -> MutualRun:
+def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -> MutualRun:
     """Reference solver: repeatedly match the global minimum-score pair.
 
     The pair of minimum Score among (unmatched node, unfilled center)
     pairs is always a mutual closest pair, so matching it greedily yields
     the unique stable solution. The full k x n distance table is
-    materialized with each center's row ranked into (dist, node) order
-    (``dijkstra``'s ``order``), and the k ranked rows are merged through a
-    k-entry heap in Score order.
+    materialized, each center's row is ranked into (dist, node) order
+    (``rank_rows``), and the k ranked rows are merged through a k-entry
+    heap in Score order.
     Pairs whose node is matched are popped and skipped, and a center's row
     leaves the heap when its quota fills, so each center pops exactly its
     ball up to its worst member: ``pops`` equals circle growing's
-    ``settled_total``. With ``check_steps`` every selected pair is verified
-    mutual-closest by exhaustively scanning both sides' active partners
-    (intended for small instances).
+    ``settled_total``.
     """
     n = inst.graph.node_count
     k = inst.k
@@ -270,8 +261,8 @@ def mutual_closest_run(
         required = estimate_mutual_bytes(n, k)
         if required > memory_cap_bytes:
             raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
-    ranked: list[array] = []
-    table = compute_center_distances(inst, ranked)
+    table = compute_center_distances(inst)
+    ranked = rank_rows(table)
     heap = [(table[c][ranked[c][0]], ranked[c][0], c) for c in range(k)]
     heapify(heap)
     next_pos = [1] * k
@@ -284,8 +275,6 @@ def mutual_closest_run(
         d, u, c = heap[0]
         pops += 1
         if match[u] < 0:
-            if check_steps:
-                _check_mutual_closest(table, match, remaining, d, u, c)
             match[u] = c
             dist_out[u] = d
             order.append((u, c))
@@ -299,25 +288,3 @@ def mutual_closest_run(
         heapreplace(heap, (table[c][v], v, c))
         next_pos[c] = p + 1
     return MutualRun(assignment=Assignment(match=match, dist=dist_out), pops=pops, order=order)
-
-
-def _check_mutual_closest(
-    table: list[list[float]],
-    match: list[int],
-    remaining: list[int],
-    d: float,
-    u: int,
-    c: int,
-) -> None:
-    best_center = min(
-        (table[c2][u], c2) for c2 in range(len(table)) if remaining[c2] > 0
-    )
-    assert best_center == (d, c), (
-        f"node {u}: nearest open center is {best_center}, selected ({d}, {c})"
-    )
-    best_node = min(
-        (table[c][v], v) for v in range(len(match)) if match[v] < 0
-    )
-    assert best_node == (d, u), (
-        f"center {c}: nearest unmatched node is {best_node}, selected ({d}, {u})"
-    )

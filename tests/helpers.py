@@ -463,6 +463,23 @@ def reference_mutual_closest(inst: Instance):
     return match, dist, order
 
 
+def check_mutual_closest_steps(inst: Instance, order: list[tuple[int, int]]) -> None:
+    """Replay a mutual-closest run's ``order`` of (node, center) matches
+    against a full table, asserting at each step, by an exhaustive scan of
+    both sides' active partners, that the pair is mutual-closest."""
+    table = compute_center_distances(inst)
+    remaining = list(inst.quotas)
+    match = [-1] * inst.graph.node_count
+    for u, c in order:
+        d = table[c][u]
+        best_center = min((row[u], c2) for c2, row in enumerate(table) if remaining[c2] > 0)
+        assert best_center == (d, c), f"node {u}: nearest open center is {best_center}, selected ({d}, {c})"
+        best_node = min((table[c][v], v) for v in range(len(match)) if match[v] < 0)
+        assert best_node == (d, u), f"center {c}: nearest unmatched node is {best_node}, selected ({d}, {u})"
+        match[u] = c
+        remaining[c] -= 1
+
+
 def reference_render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) -> str:
     """The SVG map drawn edge by edge, each endpoint scaled and formatted
     where it is used; render_svg must match it byte for byte."""

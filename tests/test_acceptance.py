@@ -33,6 +33,7 @@ from stabledistrict.cli import main as cli_main
 
 from helpers import (
     N_EQUIVALENCE_CASES,
+    check_mutual_closest_steps,
     least_squares_slope,
     random_sparse_instance,
     spearman,
@@ -373,7 +374,8 @@ def test_criterion_9_selected_pairs_are_mutual_closest():
     checked_steps = 0
     for seed in range(1000):
         inst = random_sparse_instance(seed, max_n=40)
-        run = mutual_closest_run(inst, check_steps=True)  # raises on any violation
+        run = mutual_closest_run(inst)
+        check_mutual_closest_steps(inst, run.order)  # raises on any violation
         checked_instances += 1
         checked_steps += len(run.order)
     ok = checked_instances == 1000

@@ -318,6 +318,20 @@ def test_render_malformed_assignment_row_exits_1(grid_tsv, tmp_path, capsys, row
     assert "assignment row 5:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kept", [10, 1])  # a truncated file, and the header alone
+def test_render_and_verify_refuse_an_incomplete_assignment_alike(grid_tsv, tmp_path, capsys, kept):
+    out = tmp_path / "a.tsv"
+    instance = ["--random-centers", "3", "--seed", "5", str(grid_tsv)]
+    assert run(["solve", "--algo", "circle", "-o", str(out)] + instance) == 0
+    out.write_text("".join(out.read_text().splitlines(keepends=True)[:kept]))
+    capsys.readouterr()
+    assert run(["render", "--assignment", str(out), "-o", str(tmp_path / "m.svg"), str(grid_tsv)]) == 1
+    rendered = capsys.readouterr().err
+    assert run(["verify", "--assignment", str(out)] + instance) == 1
+    assert capsys.readouterr().err == rendered
+    assert rendered.startswith("error: assignment missing node id ")
+
+
 def test_render_dimacs_graph_with_coordinates(tmp_path):
     gr = tmp_path / "g.gr"
     gr.write_text("p sp 3 2\na 1 2 1\na 2 3 1\n")

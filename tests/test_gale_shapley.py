@@ -157,8 +157,7 @@ FIXED_CALL_BYTES = 1024
 
 def _build_and_read_both_sides(inst, first, second):
     # Each side is built on first read; a caller that reads both (the
-    # solver cross-checks do) holds the most one table can. Read first, the
-    # center side keeps the searches' pop orders; read second, it sorts.
+    # solver cross-checks do) holds the most one table can.
     prefs = build_preferences(inst, memory_cap_bytes=None)
     return getattr(prefs, first), getattr(prefs, second)
 

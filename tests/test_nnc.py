@@ -17,6 +17,7 @@ from stabledistrict.nnc import mutual_closest_run, nnc_run
 
 from helpers import (
     acceptance_grid_instance,
+    check_mutual_closest_steps,
     path_graph,
     random_grid_instance,
     random_sparse_instance,
@@ -166,7 +167,8 @@ def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
 @pytest.mark.parametrize("seed", range(8))
 def test_mutual_closest_output_is_stable_and_steps_check_out(seed):
     inst = random_sparse_instance(seed, max_n=25)
-    run = mutual_closest_run(inst, check_steps=True)
+    run = mutual_closest_run(inst)
+    check_mutual_closest_steps(inst, run.order)
     assert verify_stable(inst, run.assignment, compute_center_distances(inst)) is None
     assert len(run.order) == inst.graph.node_count
 

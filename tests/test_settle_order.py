@@ -1,14 +1,13 @@
-"""The settle-order guard and the ranked rows ``dijkstra`` hands back.
+"""The settle-order guard and the bucket ring of full searches.
 
-A full search's ``order`` is the stable sort of its distance row on every
-graph, and gs-centers and the mutual reference read it as their ranked
-rows. Where no weight can be absorbed by rounding, a heap search's pop
-order is that sort and is taken as is. Where one can, the pops may leave
-that order, so ``dijkstra`` sorts the row, and circle growing and the
-chain solver refuse the graph. Full searches on graphs whose weight spread
-fits ``graph.fits_bucket_ring`` drain a bucket ring instead of the heap;
-their rows equal the heap's bit for bit, and so do their orders wherever
-the graph settles in order.
+Where no weight can be absorbed by rounding, a heap search pops in
+``(dist, node)`` order: its pops are ``rank_rows`` of its row, the order
+circle growing and the chain solver rely on. Where one can, the pops may
+leave that order, and circle growing and the chain solver refuse the graph;
+the table solvers rank their rows with ``rank_rows`` on every graph. Full
+searches on graphs whose weight spread fits ``graph.fits_bucket_ring``
+drain a bucket ring instead of the heap; their rows equal the heap's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +21,15 @@ from stabledistrict import (
     GraphError,
     RoadGraph,
     build_preferences,
-    compute_center_distances,
     dijkstra,
     mutual_closest_run,
     solve,
 )
-from stabledistrict import gale_shapley, graph, nnc
+from stabledistrict import gale_shapley, graph
 from stabledistrict.bench import generate_grid
 from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
 from stabledistrict.graph import INF, fits_bucket_ring, require_settles_in_order, settle_stream, settles_in_order
+from stabledistrict.model import rank_rows
 
 from helpers import (
     dropped_edge_grid,
@@ -49,22 +48,6 @@ def stable_sort(row) -> list[int]:
     return sorted(range(len(row)), key=lambda v: (row[v], v))
 
 
-class SearchSpy:
-    """Wraps a module's ``compute_center_distances``; records, per call,
-    the ranked rows it was asked for (None when it was not) and its rows."""
-
-    def __init__(self, monkeypatch, module):
-        self.calls: list[tuple[list | None, list]] = []
-        inner = module.compute_center_distances
-
-        def spy(inst, orders=None):
-            rows = inner(inst, orders)
-            self.calls.append((orders, [list(row) for row in rows]))
-            return rows
-
-        monkeypatch.setattr(module, "compute_center_distances", spy)
-
-
 def heap_search(g: RoadGraph, source: int) -> tuple[bytes, list[int]]:
     """A full ``settle_stream`` search: its row's bytes and its pop order."""
     dist = [INF] * g.node_count
@@ -73,8 +56,8 @@ def heap_search(g: RoadGraph, source: int) -> tuple[bytes, list[int]]:
 
 
 def full_searches(monkeypatch, g: RoadGraph, sources) -> tuple[list, int]:
-    """``dijkstra``'s full search from each source, as ``heap_search``'s
-    pairs, and how many of them went through ``graph.settle_stream``."""
+    """``dijkstra``'s full search from each source, as its row's bytes, and
+    how many of them went through ``graph.settle_stream``."""
     streams = []
 
     def spy(adjacency, source, dist):
@@ -85,10 +68,12 @@ def full_searches(monkeypatch, g: RoadGraph, sources) -> tuple[list, int]:
     with monkeypatch.context() as patch:
         patch.setattr(graph, "settle_stream", spy)
         for s in sources:
-            order = array("i")
-            row = dijkstra(g, s, order=order)
-            searches.append((array("d", row).tobytes(), list(order)))
+            searches.append(array("d", dijkstra(g, s)).tobytes())
     return searches, len(streams)
+
+
+def heap_rows(g: RoadGraph, sources) -> list[bytes]:
+    return [heap_search(g, s)[0] for s in sources]
 
 
 def chorded_path(chord: float, extra=()) -> RoadGraph:
@@ -97,7 +82,7 @@ def chorded_path(chord: float, extra=()) -> RoadGraph:
     return RoadGraph.from_edges([(i, i + 1, 1.0) for i in range(19)] + [(0, 19, chord), *extra])
 
 
-def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
+def test_ring_rows_equal_the_heap_bit_for_bit(monkeypatch):
     taken: Counter = Counter()
     for name, seed, inst in helper_corpus():
         g = inst.graph
@@ -105,7 +90,7 @@ def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
         searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
         by_radius = not by_weight_sum and fits_bucket_ring(g)
         assert streamed == (0 if by_weight_sum else 1 if by_radius else g.node_count), (name, seed)
-        assert searches == [heap_search(g, s) for s in range(g.node_count)], (name, seed)
+        assert searches == heap_rows(g, range(g.node_count)), (name, seed)
         taken[by_weight_sum, by_radius] += 1
     # The 19 graphs that pass by their radius are all random_dimacs_instance's.
     assert taken == {(True, False): 188, (False, True): 19, (False, False): 93}
@@ -115,7 +100,7 @@ def test_ring_rows_and_orders_equal_the_heap_bit_for_bit(monkeypatch):
         sources = range(0, g.node_count, 97)
         searches, streamed = full_searches(monkeypatch, g, sources)
         assert streamed == 0
-        assert searches == [heap_search(g, s) for s in sources]
+        assert searches == heap_rows(g, sources)
 
 
 def test_a_learned_radius_sends_road_graphs_to_the_ring_after_their_first_search(monkeypatch):
@@ -129,7 +114,7 @@ def test_a_learned_radius_sends_road_graphs_to_the_ring_after_their_first_search
     for g, sources, streams in graphs:
         searches, streamed = full_searches(monkeypatch, g, sources)
         assert streamed == streams and fits_bucket_ring(g)
-        assert searches == [heap_search(g, s) for s in sources]
+        assert searches == heap_rows(g, sources)
     # Below about 2**25 nodes and edges the ring's size cap implies the
     # settle order; the radius must still never override that guard.
     with monkeypatch.context() as patch:
@@ -149,10 +134,7 @@ def test_the_ring_accepts_absorbing_seeds_only_where_they_settle_in_order(monkey
         assert not fits or in_order, seed
         assert streamed == (0 if by_weight_sum else 1 if fits else g.node_count), seed
         ring += fits
-        for s, (row, order) in enumerate(searches):
-            heap_row, pops = heap_search(g, s)
-            assert row == heap_row, seed
-            assert order == (pops if in_order else stable_sort(array("d", row))), seed
+        assert searches == heap_rows(g, range(g.node_count)), seed
     assert 0 < ring < len(ABSORBING_SEEDS) // 10
 
 
@@ -167,7 +149,7 @@ def test_graphs_outside_the_ring_guard_take_the_heap(monkeypatch):
         assert not fits_bucket_ring(g)
         searches, streamed = full_searches(monkeypatch, g, range(g.node_count))
         assert streamed == g.node_count
-        assert searches == [heap_search(g, s) for s in range(g.node_count)]
+        assert searches == heap_rows(g, range(g.node_count))
     assert dijkstra(graphs[0], 0) == [0.0]
 
 
@@ -175,9 +157,8 @@ def test_the_witness_pops_out_of_order_and_fails_the_guard():
     g = RoadGraph.from_edges([(3, 2, 1.0), (2, 0, 1e-17), (3, 1, 1.0)])
     row, pops = heap_search(g, 3)
     assert pops == [3, 1, 2, 0]  # 1 + 1e-17 == 1: node 0 is pushed tied after node 1 pops
-    order: list[int] = []
-    assert array("d", dijkstra(g, 3, order=order)).tobytes() == row
-    assert order == stable_sort(array("d", row)) == [3, 0, 1, 2]
+    assert array("d", dijkstra(g, 3)).tobytes() == row
+    assert [list(r) for r in rank_rows([array("d", row)])] == [[3, 0, 1, 2]]
     assert not settles_in_order(g)
     with pytest.raises(GraphError, match=r"smallest edge weight 1e-17 .* bound 4\.0"):
         require_settles_in_order(g)
@@ -187,43 +168,28 @@ def test_a_graph_without_edges_settles_in_order():
     assert settles_in_order(RoadGraph.from_edges([], node_ids=[0]))
 
 
-def test_pop_orders_are_the_sorted_rows_on_the_helper_corpus():
-    for name, seed, inst in helper_corpus():
-        assert settles_in_order(inst.graph), (name, seed)
-        orders: list = []
-        rows = compute_center_distances(inst, orders)
-        assert [list(o) for o in orders] == [stable_sort(row) for row in rows], (name, seed)
+def test_in_order_pops_are_the_ranked_rows():
+    graphs = [inst.graph for _, _, inst in helper_corpus()]
+    assert all(map(settles_in_order, graphs))
+    absorbing = [random_absorbing_instance(seed).graph for seed in ABSORBING_SEEDS]
+    in_order = [g for g in absorbing if settles_in_order(g)]
+    assert len(in_order) == 12
+    graphs += in_order
+    for g in graphs:
+        for s in range(g.node_count):
+            row, pops = heap_search(g, s)
+            assert pops == list(rank_rows([array("d", row)])[0]), s
 
 
-def test_gs_centers_and_mutual_read_the_pop_orders(monkeypatch):
-    gs_spy = SearchSpy(monkeypatch, gale_shapley)
-    mutual_spy = SearchSpy(monkeypatch, nnc)
-    for name, seed, inst in helper_corpus(range(20)):
-        prefs = build_preferences(inst)
-        gs_centers_run(inst, prefs)
-        mutual_closest_run(inst)
-        for spy in (gs_spy, mutual_spy):
-            orders, rows = spy.calls.pop()
-            assert orders is not None, (name, seed)
-            assert [list(o) for o in orders] == [stable_sort(row) for row in rows], (name, seed)
-        assert [list(r) for r in prefs.center_prefs] == [list(o) for o in orders]
-
-
-def test_absorbing_weights_take_the_sorting_fallback(monkeypatch):
-    gs_spy = SearchSpy(monkeypatch, gale_shapley)
-    mutual_spy = SearchSpy(monkeypatch, nnc)
+def test_absorbing_weights_take_the_sorting_fallback():
     fallbacks = 0
     for seed in ABSORBING_SEEDS:
         inst = random_absorbing_instance(seed)
         in_order = settles_in_order(inst.graph)
         fallbacks += not in_order
         prefs = build_preferences(inst)
-        center_prefs = [list(r) for r in prefs.center_prefs]
+        assert [list(r) for r in prefs.center_prefs] == [stable_sort(row) for row in prefs.dist], seed
         run = mutual_closest_run(inst)
-        (gs_orders, rows), (mutual_orders, _) = gs_spy.calls.pop(), mutual_spy.calls.pop()
-        assert gs_orders is not None and mutual_orders is not None, seed
-        assert center_prefs == [stable_sort(row) for row in rows], seed
-        assert [list(o) for o in mutual_orders] == center_prefs, seed
         match, dist, _ = reference_mutual_closest(inst)
         for a in (gs_centers_run(inst, prefs).assignment, gs_nodes_run(inst, prefs).assignment, run.assignment):
             assert (a.match, a.dist) == (match, dist), seed
@@ -237,18 +203,20 @@ def test_absorbing_weights_take_the_sorting_fallback(monkeypatch):
 
 
 def test_the_searches_run_on_the_first_read(monkeypatch):
-    spy = SearchSpy(monkeypatch, gale_shapley)
+    searched = []
+    inner = gale_shapley.compute_center_distances
+    monkeypatch.setattr(gale_shapley, "compute_center_distances", lambda inst: searched.append(inst) or inner(inst))
     inst = random_grid_instance(5)
     prefs = build_preferences(inst)
-    assert spy.calls == []  # building the table searches nothing
+    assert searched == []  # building the table searches nothing
     gs_nodes_run(inst, prefs)
-    assert len(spy.calls) == 1 and spy.calls[0][0] is None  # gs-nodes records no order
-    sorted_prefs = [list(r) for r in prefs.center_prefs]  # read after dist: sorted, no search
-    assert len(spy.calls) == 1
+    assert len(searched) == 1
+    node_side_first = [list(r) for r in prefs.center_prefs]  # read after dist: no search
+    assert len(searched) == 1
     prefs = build_preferences(inst)
     gs_centers_run(inst, prefs)
-    assert len(spy.calls) == 2 and spy.calls[1][0] is not None
-    assert [list(r) for r in prefs.center_prefs] == sorted_prefs
+    assert len(searched) == 2
+    assert [list(r) for r in prefs.center_prefs] == node_side_first
     assert "node_prefs" not in vars(prefs)
     prefs.node_prefs  # the table is searched once, whichever side reads it first
-    assert len(spy.calls) == 2
+    assert len(searched) == 2
