@@ -11,14 +11,15 @@ whole and only with values that hold for the graph, so a reader that races
 a write at worst recomputes the weights or runs the heap once more, and
 gets the same row.
 
-Shortest paths have two drains. ``settle_stream`` is a binary-heap
-Dijkstra that yields nodes as they settle; circle growing, targeted
-searches, and full searches that ``fits_bucket_ring`` turns away use it.
-A full ``dijkstra`` search of a graph that passes ``fits_bucket_ring``
-drains ``_drain_ring``, Dial's bucket queue, instead; its rows equal the
-heap's bit for bit. A graph whose weight sum is too large for the ring may
-still pass by the radius its first full search records: integer road
-weights do.
+Shortest paths have two drains, both behind ``dijkstra``.
+``settle_stream`` is a binary-heap Dijkstra that yields nodes as they
+settle; targeted searches, and full searches that ``fits_bucket_ring``
+turns away, use it. A full search of a graph that passes
+``fits_bucket_ring`` drains ``_drain_ring``, Dial's bucket queue,
+instead; its rows equal the heap's bit for bit. A graph whose weight sum
+is too large for the ring may still pass by the radius its first full
+search records: integer road weights do. Circle growing runs its own
+search (``circle.py``), so it shares no search code with verify.
 """
 
 from __future__ import annotations
@@ -354,10 +355,10 @@ def settle_stream(
     with a smaller id after a pop; ``settles_in_order`` rules that out.
 
     A binary heap with lazy deletion; stale entries are skipped. ``dist`` is
-    the caller's store of tentative distances, indexed by node, that reads
-    inf for a node not yet reached: a list, or a dict with that default.
-    A settled node's arcs are relaxed into it only when the stream is
-    resumed, so a consumer that stops after a yield never relaxes that node.
+    the caller's list of tentative distances, inf for a node not yet
+    reached. A settled node's arcs are relaxed into it only when the stream
+    is resumed, so ``dijkstra``'s targeted search never relaxes the pop
+    beyond its tie band that it stops at.
     """
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -437,9 +438,9 @@ def settles_in_order(g: RoadGraph) -> bool:
     A weight of at least one ulp of a distance d gives d + w > d, and the
     ulp only grows with d, so a smallest weight of at least one ulp of the
     distance bound keeps every relaxation strictly above its settled node.
-    Every ``settle_stream`` of ``g`` then pops in non-decreasing
-    ``(dist, node)`` order: the order circle growing and the chain
-    solver's labels rely on.
+    Every Dijkstra search of ``g`` then pops in non-decreasing
+    ``(dist, node)`` order: the order circle growing's shared heap and the
+    chain solver's labels rely on.
     """
     w_min, _, bound, _ = _weight_range(g)
     return w_min >= math.ulp(bound)

@@ -8,8 +8,9 @@ implementation.
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
+from typing import IO
 
 from stabledistrict import (
     Assignment,
@@ -27,8 +28,9 @@ from stabledistrict import (
     solve,
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
+from stabledistrict.circle import CircleRun
 from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
-from stabledistrict.graph import _lines
+from stabledistrict.graph import _lines, require_settles_in_order, settle_stream
 from stabledistrict.nnc import DnnOracle, Side
 from stabledistrict.render import BOUNDARY_COLOR, SvgOptions, district_color
 
@@ -461,6 +463,47 @@ def reference_mutual_closest(inst: Instance):
         order.append((u, c))
         remaining[c] -= 1
     return match, dist, order
+
+
+def reference_circle_growing(inst: Instance, trace: IO[str] | None = None) -> CircleRun:
+    """Circle growing as a k-way merge of one ``settle_stream`` per center,
+    keyed by the (dist, node, center) Score triple. A center's stream is
+    closed unresumed when its quota fills, so its last member is never
+    relaxed; ``pushed_total`` counts the nodes each stream reached."""
+    require_settles_in_order(inst.graph)
+    n = inst.graph.node_count
+    remaining = list(inst.quotas)
+    balls = [[math.inf] * n for _ in inst.centers]
+    streams = [settle_stream(inst.graph.adjacency, s, ball) for s, ball in zip(inst.centers, balls)]
+    heap = [next(stream) + (c,) for c, stream in enumerate(streams)]
+    heapify(heap)
+    match = [-1] * n
+    dist = [0.0] * n
+    matched = settled_total = pushed_total = 0
+    while heap and matched < n:
+        d, u, c = heap[0]
+        settled_total += 1
+        if trace is not None:
+            trace.write(f"settle\t{c}\t{u}\t{d!r}\n")
+        if match[u] < 0:
+            match[u] = c
+            dist[u] = d
+            matched += 1
+            remaining[c] -= 1
+            if trace is not None:
+                trace.write(f"match\t{c}\t{u}\t{d!r}\n")
+            if remaining[c] == 0:
+                if trace is not None:
+                    trace.write(f"halt\t{c}\t{u}\t{d!r}\n")
+                streams[c].close()
+        step = next(streams[c], None)
+        if step is None:
+            heappop(heap)
+            pushed_total += n - balls[c].count(math.inf)
+        else:
+            heapreplace(heap, step + (c,))
+    assert matched == n
+    return CircleRun(Assignment(match=match, dist=dist), settled_total, pushed_total)
 
 
 def check_mutual_closest_steps(inst: Instance, order: list[tuple[int, int]]) -> None:

@@ -7,21 +7,28 @@ import pytest
 
 from stabledistrict import (
     Instance,
+    circle,
     compute_center_distances,
     equal_quotas,
     generate_grid,
+    graph,
     solve,
 )
 from stabledistrict.bench import derive_seed, sample_centers
 from stabledistrict.circle import circle_growing_run
 from stabledistrict.gale_shapley import build_preferences, gs_centers_run
+from stabledistrict.graph import GraphError, settles_in_order
 
 from helpers import (
     acceptance_grid_instance,
+    helper_corpus,
     path_graph,
+    random_absorbing_instance,
+    random_dimacs_instance,
     random_float_instance,
     random_grid_instance,
     random_sparse_instance,
+    reference_circle_growing,
 )
 
 
@@ -67,8 +74,9 @@ def test_settled_total_bounded_by_nk():
 
 
 def test_a_closed_center_frees_its_search():
-    # A center that leaves the merge drops its ball and its suspended
-    # stream; keeping all 64 to the end peaked at 0.60 MiB here.
+    # A center whose quota fills drops its ball; its frontier entries stay
+    # in the shared heap until popped. Keeping all 64 balls to the end
+    # peaked at 0.55 MiB here.
     g = generate_grid(32, 32, jitter_seed=7)
     n = g.node_count
     inst = Instance(g, sample_centers(n, 64, derive_seed(1, 64, 0)), equal_quotas(n, 64))
@@ -183,3 +191,42 @@ def test_each_match_is_the_global_minimum_open_pair(seed):
         unmatched.remove(u)
         remaining[c] -= 1
     assert not unmatched
+
+
+def _traced(run, inst):
+    trace = io.StringIO()
+    return run(inst, trace=trace), trace.getvalue()
+
+
+def test_one_heap_equals_the_merge_reference():
+    # The shared heap settles what a k-way merge of per-center streams
+    # settles: same run, same counters, same trace bytes.
+    cases = list(helper_corpus())
+    absorbing = [random_absorbing_instance(seed) for seed in range(300)]
+    cases += [("absorbing", seed, inst) for seed, inst in enumerate(absorbing) if settles_in_order(inst.graph)]
+    g = generate_grid(32, 32, jitter_seed=7)
+    n = g.node_count
+    cases.append(("grid32", 64, Instance(g, sample_centers(n, 64, derive_seed(1, 64, 0)), equal_quotas(n, 64))))
+    assert len(cases) > 300
+    differ = [(name, seed) for name, seed, inst in cases
+              if _traced(circle_growing_run, inst) != _traced(reference_circle_growing, inst)]
+    assert not differ
+    for inst in absorbing:
+        if not settles_in_order(inst.graph):
+            with pytest.raises(GraphError):
+                circle_growing_run(inst)
+
+
+def test_circle_runs_no_shared_search_code(monkeypatch):
+    # Circle growing keeps its own search, so a fault in graph.settle_stream,
+    # which verify's targeted searches run, cannot make both agree.
+    instances = [make(seed) for make in (random_grid_instance, random_float_instance, random_dimacs_instance)
+                 for seed in range(4)]
+    expected = [solve(inst, "mutual") for inst in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("circle growing ran graph.settle_stream")
+
+    monkeypatch.setattr(graph, "settle_stream", refuse)
+    monkeypatch.setattr(circle, "settle_stream", refuse, raising=False)
+    assert [solve(inst, "circle") for inst in instances] == expected

@@ -464,71 +464,72 @@ def test_unknown_center_id_exits_2(grid_tsv, tmp_path, capsys):
     assert "not present" in capsys.readouterr().err
 
 
-# Malformed invocations: (case id, files to write, argv). "{d}" in an
-# argument is the case's directory, which holds a 5x5 grid as g.tsv and
-# its equal-quota circle assignment as a.tsv.
+# Malformed invocations: (case id, exit code, files to write, argv). The
+# code is 1 for bad input, 2 for an infeasible instance and 3 for a memory
+# cap refusal. "{d}" in an argument is the case's directory, which holds a
+# 5x5 grid as g.tsv and its equal-quota circle assignment as a.tsv.
 CIRCLE = ["solve", "--algo", "circle", "--random-centers"]
 # Rounding absorbs the 1e-17 weight (2.0 + 1e-17 == 2.0), so searches can
 # settle out of distance order.
 ABSORBING = "3 2 1\n2 0 1e-17\n3 1 1\n"
 AUDIT_CASES = [
-    ("bad-graph", {"x.tsv": "0 1 one\n"}, CIRCLE + ["2", "{d}/x.tsv"]),
-    ("empty-graph", {"x.tsv": ""}, CIRCLE + ["2", "{d}/x.tsv"]),
-    ("binary-graph", {"x.tsv": b"\x00\xff\xfe\x80binary"}, ["solve", "--algo", "nnc", "--random-centers", "2", "{d}/x.tsv"]),
-    ("missing-graph", {}, CIRCLE + ["2", "{d}/none.tsv"]),
-    ("empty-dimacs", {"x.gr": ""}, CIRCLE + ["1", "{d}/x.gr"]),
-    ("dimacs-bad-arc", {"x.gr": "p sp 3 1\na 1 2\n"}, CIRCLE + ["1", "{d}/x.gr"]),
-    ("dimacs-huge-header", {"x.gr": "p sp 99999999999 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr"]),
-    ("dimacs-huge-header-co", {"x.gr": "p sp 99999999999 1\na 1 2 1\n", "x.co": "v 1 0 0\nv 2 1 0\n"}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/x.gr", "{d}/x.co"]),
-    ("dimacs-missing-coordinate", {"x.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "x.co": "v 1 0 0\nv 3 2 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
-    ("missing-coordinates-file", {"x.gr": "p sp 2 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/none.co"]),
-    ("zero-weight", {"x.tsv": "0 1 0\n1 2 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("negative-weight", {"x.tsv": "0 1 -2\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("nan-weight", {"x.tsv": "0 1 nan\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("inf-weight", {"x.tsv": "0 1 inf\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("self-loop", {"x.tsv": "3 3 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("disconnected", {"x.tsv": "0 1 1\n2 3 1\n"}, ["solve", "--algo", "gs-nodes", "--random-centers", "2", "{d}/x.tsv"]),
-    ("k-zero", {}, CIRCLE + ["0", "{d}/g.tsv"]),
-    ("k-negative", {}, ["solve", "--algo", "mutual", "--random-centers", "-3", "{d}/g.tsv"]),
-    ("k-above-n", {}, CIRCLE + ["26", "{d}/g.tsv"]),
-    ("centers-not-ints", {"c.txt": "0\nfive\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
-    ("centers-duplicate", {"c.txt": "0\n0\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
-    ("centers-missing-file", {}, ["solve", "--algo", "circle", "--centers", "{d}/none.txt", "{d}/g.tsv"]),
-    ("quotas-wrong-count", {"q.txt": "25\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-zero", {"q.txt": "25\n0\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-not-ints", {"q.txt": "12.5\n12.5\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("quotas-binary", {"q.txt": b"\xff\xfe\x00"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
-    ("memory-cap", {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
-    ("grid-one-dimension", {}, ["generate", "--grid", "4"]),
-    ("grid-not-ints", {}, ["generate", "--grid", "axb"]),
-    ("grid-zero", {}, ["generate", "--grid", "0x5"]),
-    ("bench-bad-grid", {}, ["bench", "--grid", "3", "--k", "2", "--runs", "1"]),
-    ("bench-k-zero", {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
-    ("bench-unknown-algorithm", {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
-    ("verify-empty-assignment", {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
-    ("verify-binary-assignment", {"e.tsv": b"\x80\x81\x00"}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
-    ("verify-missing-assignment", {}, ["verify", "--assignment", "{d}/none.tsv", "--random-centers", "2", "{d}/g.tsv"]),
-    ("render-empty-assignment", {"e.tsv": ""}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
-    ("render-unknown-center", {"e.tsv": "0\t99\t0.0\n"}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
-    ("unwritable-solve-output", {}, CIRCLE + ["2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
-    ("output-is-a-directory", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
-    ("unwritable-generate-output", {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
-    ("unwritable-trace", {}, CIRCLE + ["2", "--trace", "{d}/no/dir/t.txt", "{d}/g.tsv"]),
-    ("trace-for-other-solver", {}, ["solve", "--algo", "nnc", "--random-centers", "2", "--trace", "{d}/t.txt", "{d}/g.tsv"]),
-    ("tsv-bad-edge-after-duplicate-coordinate", {"x.tsv": "0 1 1\n#node 0 0 0\n#node 0 0 0\n1 2 x\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("tsv-duplicate-coordinate", {"x.tsv": "0 1 1\n#node 0 0 0\n#node 1 0 0\n#node 0 1 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("dimacs-duplicate-coordinate", {"x.gr": "p sp 2 2\na 1 2 1\na 2 1 3\n", "x.co": "v 1 0 0\nv 1 0 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
-    ("argparse-unknown-flag", {}, CIRCLE + ["2", "--fastest", "{d}/g.tsv"]),
-    ("argparse-missing-argument", {}, ["solve", "--algo", "circle", "{d}/g.tsv"]),
-    ("argparse-bad-algo", {}, ["solve", "--algo", "fastest", "--random-centers", "2", "{d}/g.tsv"]),
-    ("argparse-negative-grid", {}, ["generate", "--grid", "-2x3"]),
-    ("circle-absorbing-weight", {"x.tsv": ABSORBING}, CIRCLE + ["1", "{d}/x.tsv"]),
-    ("nnc-absorbing-weight", {"x.tsv": ABSORBING}, ["solve", "--algo", "nnc", "--random-centers", "1", "{d}/x.tsv"]),
-    ("trace-to-stdout-beside-the-assignment", {}, CIRCLE + ["2", "--trace", "-", "{d}/g.tsv"]),
-    ("trace-to-stdout-beside-output-dash", {}, CIRCLE + ["2", "--trace", "-", "-o", "-", "{d}/g.tsv"]),
-    ("co-beside-tsv-solve", {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "{d}/g.tsv", "{d}/missing.co"]),
-    ("co-beside-tsv-verify", {}, ["verify", "--assignment", "{d}/a.tsv", "--random-centers", "5", "{d}/g.tsv", "{d}/missing.co"]),
-    ("co-beside-tsv-render", {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/g.tsv", "{d}/missing.co"]),
+    ("bad-graph", 1, {"x.tsv": "0 1 one\n"}, CIRCLE + ["2", "{d}/x.tsv"]),
+    ("empty-graph", 1, {"x.tsv": ""}, CIRCLE + ["2", "{d}/x.tsv"]),
+    ("binary-graph", 1, {"x.tsv": b"\x00\xff\xfe\x80binary"}, ["solve", "--algo", "nnc", "--random-centers", "2", "{d}/x.tsv"]),
+    ("missing-graph", 1, {}, CIRCLE + ["2", "{d}/none.tsv"]),
+    ("empty-dimacs", 1, {"x.gr": ""}, CIRCLE + ["1", "{d}/x.gr"]),
+    ("dimacs-bad-arc", 1, {"x.gr": "p sp 3 1\na 1 2\n"}, CIRCLE + ["1", "{d}/x.gr"]),
+    ("dimacs-huge-header", 1, {"x.gr": "p sp 99999999999 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr"]),
+    ("dimacs-huge-header-co", 1, {"x.gr": "p sp 99999999999 1\na 1 2 1\n", "x.co": "v 1 0 0\nv 2 1 0\n"}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/x.gr", "{d}/x.co"]),
+    ("dimacs-missing-coordinate", 1, {"x.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "x.co": "v 1 0 0\nv 3 2 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
+    ("missing-coordinates-file", 1, {"x.gr": "p sp 2 1\na 1 2 1\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/none.co"]),
+    ("zero-weight", 1, {"x.tsv": "0 1 0\n1 2 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("negative-weight", 1, {"x.tsv": "0 1 -2\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("nan-weight", 1, {"x.tsv": "0 1 nan\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("inf-weight", 1, {"x.tsv": "0 1 inf\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("self-loop", 1, {"x.tsv": "3 3 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("disconnected", 2, {"x.tsv": "0 1 1\n2 3 1\n"}, ["solve", "--algo", "gs-nodes", "--random-centers", "2", "{d}/x.tsv"]),
+    ("k-zero", 2, {}, CIRCLE + ["0", "{d}/g.tsv"]),
+    ("k-negative", 2, {}, ["solve", "--algo", "mutual", "--random-centers", "-3", "{d}/g.tsv"]),
+    ("k-above-n", 2, {}, CIRCLE + ["26", "{d}/g.tsv"]),
+    ("centers-not-ints", 1, {"c.txt": "0\nfive\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
+    ("centers-duplicate", 2, {"c.txt": "0\n0\n"}, ["solve", "--algo", "circle", "--centers", "{d}/c.txt", "{d}/g.tsv"]),
+    ("centers-missing-file", 1, {}, ["solve", "--algo", "circle", "--centers", "{d}/none.txt", "{d}/g.tsv"]),
+    ("quotas-wrong-count", 2, {"q.txt": "25\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-zero", 2, {"q.txt": "25\n0\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-not-ints", 1, {"q.txt": "12.5\n12.5\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("quotas-binary", 1, {"q.txt": b"\xff\xfe\x00"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
+    ("memory-cap", 3, {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
+    ("grid-one-dimension", 1, {}, ["generate", "--grid", "4"]),
+    ("grid-not-ints", 1, {}, ["generate", "--grid", "axb"]),
+    ("grid-zero", 1, {}, ["generate", "--grid", "0x5"]),
+    ("bench-bad-grid", 1, {}, ["bench", "--grid", "3", "--k", "2", "--runs", "1"]),
+    ("bench-k-zero", 1, {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
+    ("bench-unknown-algorithm", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
+    ("verify-empty-assignment", 1, {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("verify-binary-assignment", 1, {"e.tsv": b"\x80\x81\x00"}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("verify-missing-assignment", 1, {}, ["verify", "--assignment", "{d}/none.tsv", "--random-centers", "2", "{d}/g.tsv"]),
+    ("render-empty-assignment", 1, {"e.tsv": ""}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
+    ("render-unknown-center", 1, {"e.tsv": "0\t99\t0.0\n"}, ["render", "--assignment", "{d}/e.tsv", "-o", "{d}/m.svg", "{d}/g.tsv"]),
+    ("unwritable-solve-output", 1, {}, CIRCLE + ["2", "-o", "{d}/no/dir/a.tsv", "{d}/g.tsv"]),
+    ("output-is-a-directory", 1, {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
+    ("unwritable-generate-output", 1, {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
+    ("unwritable-trace", 1, {}, CIRCLE + ["2", "--trace", "{d}/no/dir/t.txt", "{d}/g.tsv"]),
+    ("trace-for-other-solver", 1, {}, ["solve", "--algo", "nnc", "--random-centers", "2", "--trace", "{d}/t.txt", "{d}/g.tsv"]),
+    ("tsv-bad-edge-after-duplicate-coordinate", 1, {"x.tsv": "0 1 1\n#node 0 0 0\n#node 0 0 0\n1 2 x\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("tsv-duplicate-coordinate", 1, {"x.tsv": "0 1 1\n#node 0 0 0\n#node 1 0 0\n#node 0 1 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("dimacs-duplicate-coordinate", 1, {"x.gr": "p sp 2 2\na 1 2 1\na 2 1 3\n", "x.co": "v 1 0 0\nv 1 0 0\n"}, CIRCLE + ["1", "{d}/x.gr", "{d}/x.co"]),
+    ("argparse-unknown-flag", 1, {}, CIRCLE + ["2", "--fastest", "{d}/g.tsv"]),
+    ("argparse-missing-argument", 1, {}, ["solve", "--algo", "circle", "{d}/g.tsv"]),
+    ("argparse-bad-algo", 1, {}, ["solve", "--algo", "fastest", "--random-centers", "2", "{d}/g.tsv"]),
+    ("argparse-negative-grid", 1, {}, ["generate", "--grid", "-2x3"]),
+    ("circle-absorbing-weight", 1, {"x.tsv": ABSORBING}, CIRCLE + ["1", "{d}/x.tsv"]),
+    ("nnc-absorbing-weight", 1, {"x.tsv": ABSORBING}, ["solve", "--algo", "nnc", "--random-centers", "1", "{d}/x.tsv"]),
+    ("trace-to-stdout-beside-the-assignment", 1, {}, CIRCLE + ["2", "--trace", "-", "{d}/g.tsv"]),
+    ("trace-to-stdout-beside-output-dash", 1, {}, CIRCLE + ["2", "--trace", "-", "-o", "-", "{d}/g.tsv"]),
+    ("co-beside-tsv-solve", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "{d}/g.tsv", "{d}/missing.co"]),
+    ("co-beside-tsv-verify", 1, {}, ["verify", "--assignment", "{d}/a.tsv", "--random-centers", "5", "{d}/g.tsv", "{d}/missing.co"]),
+    ("co-beside-tsv-render", 1, {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/g.tsv", "{d}/missing.co"]),
 ]
 
 AUDIT_MEMORY_LIMIT = 1 << 30
@@ -538,8 +539,8 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (AUDIT_MEMORY_LIMIT, AUDIT_MEMORY_LIMIT))
 
 
-@pytest.mark.parametrize("files, argv", [c[1:] for c in AUDIT_CASES], ids=[c[0] for c in AUDIT_CASES])
-def test_malformed_invocation_exits_with_one_error_line(tmp_path, files, argv):
+@pytest.mark.parametrize("code, files, argv", [c[1:] for c in AUDIT_CASES], ids=[c[0] for c in AUDIT_CASES])
+def test_malformed_invocation_exits_with_one_error_line(tmp_path, code, files, argv):
     # Each case runs in its own process under a 1 GiB address-space limit,
     # so input that makes the CLI allocate by a declared size fails fast.
     assert main(["generate", "--grid", "5x5", "-o", str(tmp_path / "g.tsv")]) == 0
@@ -557,6 +558,6 @@ def test_malformed_invocation_exits_with_one_error_line(tmp_path, files, argv):
         capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
     )
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert proc.returncode in (1, 2, 3), proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert len(errors) == 1 and proc.stderr == errors[0] + "\n", proc.stderr
     assert "Traceback" not in proc.stderr
