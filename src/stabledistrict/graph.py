@@ -355,10 +355,13 @@ def settle_stream(
     with a smaller id after a pop; ``settles_in_order`` rules that out.
 
     A binary heap with lazy deletion; stale entries are skipped. ``dist`` is
-    the caller's list of tentative distances, inf for a node not yet
-    reached. A settled node's arcs are relaxed into it only when the stream
-    is resumed, so ``dijkstra``'s targeted search never relaxes the pop
-    beyond its tie band that it stops at.
+    the caller's store of tentative distances, indexed by node, that reads
+    inf for a node not yet reached: a list, or a dict with that default.
+    ``dijkstra`` passes a list; circle growing no longer runs this stream,
+    so no caller in the package needs the dict. A settled node's arcs are
+    relaxed into it only when the stream is resumed, so a consumer that
+    stops after a yield, as ``dijkstra``'s targeted search does beyond its
+    tie band, never relaxes that node.
     """
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import defaultdict
 
 import pytest
 
@@ -483,6 +484,8 @@ def test_dijkstra_matches_networkx_full_and_with_targets():
             assert sorted(v for _, v in settles) == sorted(expected)
             assert all(d == expected[v] for d, v in settles)
             assert settles == sorted(settles)
+            dict_store = defaultdict(lambda: math.inf)
+            assert list(settle_stream(g.adjacency, source, dict_store)) == settles
             targets = [rng.next_below(g.node_count) for _ in range(1 + rng.next_below(4))]
             bounded = dijkstra(g, source, targets)
             farthest = max(full[t] for t in targets)
