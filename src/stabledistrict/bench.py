@@ -23,7 +23,6 @@ outcome "refused-memory" instead of an error.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import IO
@@ -35,7 +34,7 @@ from .gale_shapley import (
     gs_centers_run,
     gs_nodes_run,
 )
-from .graph import RoadGraph, largest_component, parse_dimacs, parse_tsv
+from .graph import RoadGraph
 from .model import (
     Assignment,
     Instance,
@@ -133,37 +132,13 @@ def generate_grid(width: int, height: int, jitter_seed: int | None = None) -> Ro
     return RoadGraph.from_edges(edges, node_ids=range(width * height), coords=coords)
 
 
-def load_graph_source(source: str) -> tuple[str, RoadGraph]:
-    """Resolve a graph source: 'grid:WxH[:jitter:SEED]' or a file path."""
-    if source.startswith("grid:"):
-        parts = source.split(":")
-        dims = parts[1].lower().split("x")
-        if len(dims) != 2:
-            raise ValueError(f"bad grid spec {source!r} (expected grid:WxH)")
-        width, height = int(dims[0]), int(dims[1])
-        jitter_seed = None
-        if len(parts) == 4 and parts[2] == "jitter":
-            jitter_seed = int(parts[3])
-        elif len(parts) != 2:
-            raise ValueError(f"bad grid spec {source!r}")
-        return source, generate_grid(width, height, jitter_seed)
-    with open(source, "r", encoding="utf-8") as fh:
-        if source.endswith(".gr"):
-            g = parse_dimacs(fh)
-        else:
-            g = parse_tsv(fh)
-    return os.path.basename(source), g
-
-
 @dataclass(frozen=True)
 class BenchConfig:
-    source: str
     k_values: tuple[int, ...]
     runs: int = 10
     seed: int = 0
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
     memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES
-    use_largest_component: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
@@ -242,48 +217,34 @@ def solve(
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _bench_instance(
-    graph: RoadGraph, cfg: BenchConfig, k: int, set_index: int
-) -> Instance:
-    centers = sample_centers(graph.node_count, k, derive_seed(cfg.seed, k, set_index))
-    return Instance(graph, centers, equal_quotas(graph.node_count, k))
-
-
 def _run_cell(
     graph: RoadGraph, name: str, cfg: BenchConfig, k: int, set_index: int
 ) -> list[BenchRecord]:
-    inst = _bench_instance(graph, cfg, k, set_index)
+    centers = sample_centers(graph.node_count, k, derive_seed(cfg.seed, k, set_index))
+    inst = Instance(graph, centers, equal_quotas(graph.node_count, k))
     records = []
     for algo in cfg.algorithms:
         start = time.perf_counter()
         try:
             assignment, work = solve(inst, algo, memory_cap_bytes=cfg.memory_cap_bytes)
         except MemoryCapExceeded:
-            records.append(
-                BenchRecord(
-                    graph=name, n=graph.node_count, m=graph.edge_count, k=k,
-                    seed=cfg.seed, center_set=set_index, algorithm=algo,
-                    time_ms=None, work=None, outcome="refused-memory", digest="",
-                )
-            )
-            continue
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
+            time_ms, work, outcome, digest = None, None, "refused-memory", ""
+        else:
+            time_ms = (time.perf_counter() - start) * 1000.0
+            outcome, digest = "ok", assignment_digest(assignment)
         records.append(
             BenchRecord(
                 graph=name, n=graph.node_count, m=graph.edge_count, k=k,
                 seed=cfg.seed, center_set=set_index, algorithm=algo,
-                time_ms=elapsed_ms, work=work, outcome="ok",
-                digest=assignment_digest(assignment),
+                time_ms=time_ms, work=work, outcome=outcome, digest=digest,
             )
         )
     return records
 
 
-def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
-    """Execute the full sweep; records appear in (k, center_set, algorithm) order."""
-    name, graph = load_graph_source(cfg.source)
-    if cfg.use_largest_component:
-        graph = largest_component(graph)
+def run_bench(graph: RoadGraph, name: str, cfg: BenchConfig) -> list[BenchRecord]:
+    """Execute the full sweep on ``graph``, whose records carry ``name`` in
+    their graph column; records appear in (k, center_set, algorithm) order."""
     n = graph.node_count
     for k in cfg.k_values:
         if k > n:

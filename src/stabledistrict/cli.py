@@ -3,10 +3,10 @@
 Exit codes are part of the contract: 0 success, 1 unreadable input
 (parse errors, id mismatches, usage errors), 2 infeasible instance (quota sum, bad
 centers, disconnected graph without --largest-component), 3 memory-cap
-refusal, 4 verification found the assignment unstable. Given fixed seeds,
-every invocation writes byte-identical TSV/CSV/SVG/GeoJSON files; wall
-times go to stderr or, in bench CSV, to the one column documented as
-nondeterministic.
+refusal or out of memory, 4 verification found the assignment unstable.
+Given fixed seeds, every invocation writes byte-identical TSV/CSV/SVG/GeoJSON
+files; wall times go to stderr or, in bench CSV, to the one column documented
+as nondeterministic.
 """
 
 from __future__ import annotations
@@ -41,17 +41,32 @@ from .model import (
 from .render import render_geojson, render_svg
 
 
+def _grid(args) -> RoadGraph:
+    """The grid ``--grid WxH`` names, jittered by ``--jitter-seed``."""
+    try:
+        width, height = map(int, args.grid.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"bad grid spec {args.grid!r} (expected WxH)") from None
+    return bench_mod.generate_grid(width, height, args.jitter_seed)
+
+
 def _load_graph(args) -> RoadGraph:
-    if args.co is not None and not args.graph.endswith(".gr"):
-        raise ValueError(f"coordinate file {args.co} needs a DIMACS .gr graph, not {args.graph}")
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        if not args.graph.endswith(".gr"):
-            g = parse_tsv(fh)
-        elif args.co:
-            with open(args.co, "r", encoding="utf-8") as co_fh:
-                g = parse_dimacs(fh, co_fh)
-        else:
-            g = parse_dimacs(fh)
+    """The graph a command names: bench's --grid, or the graph file beside
+    its optional .co file; --largest-component trims it and says so on stderr."""
+    co = getattr(args, "co", None)
+    if getattr(args, "grid", None) is not None:
+        g = _grid(args)
+    elif co is not None and not args.graph.endswith(".gr"):
+        raise ValueError(f"coordinate file {co} needs a DIMACS .gr graph, not {args.graph}")
+    else:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            if not args.graph.endswith(".gr"):
+                g = parse_tsv(fh)
+            elif co:
+                with open(co, "r", encoding="utf-8") as co_fh:
+                    g = parse_dimacs(fh, co_fh)
+            else:
+                g = parse_dimacs(fh)
     if getattr(args, "largest_component", False):
         trimmed = largest_component(g)
         if trimmed.node_count != g.node_count:
@@ -75,25 +90,24 @@ def _read_int_lines(path: str) -> list[int]:
     return values
 
 
-def _resolve_centers(args, g: RoadGraph) -> list[int]:
+def _load_instance(args) -> Instance:
+    """The instance solve and verify share: the graph, then centers, then quotas."""
+    g = _load_graph(args)
     if args.random_centers is not None:
-        return bench_mod.sample_centers(g.node_count, args.random_centers, args.seed)
-    original = _read_int_lines(args.centers)
-    dense = []
-    for oid in original:
-        if not g.has_original_id(oid):
-            raise InstanceError(f"center id {oid} not present in the graph")
-        dense.append(g.dense_id(oid))
-    return dense
-
-
-def _resolve_quotas(args, g: RoadGraph, k: int) -> list[int]:
+        centers = bench_mod.sample_centers(g.node_count, args.random_centers, args.seed)
+    else:
+        centers = []
+        for oid in _read_int_lines(args.centers):
+            if not g.has_original_id(oid):
+                raise InstanceError(f"center id {oid} not present in the graph")
+            centers.append(g.dense_id(oid))
     if args.quotas == "equal":
-        return equal_quotas(g.node_count, k)
-    quotas = _read_int_lines(args.quotas)
-    if len(quotas) != k:
-        raise InstanceError(f"quota file has {len(quotas)} entries for {k} centers")
-    return quotas
+        quotas = equal_quotas(g.node_count, len(centers))
+    else:
+        quotas = _read_int_lines(args.quotas)
+        if len(quotas) != len(centers):
+            raise InstanceError(f"quota file has {len(quotas)} entries for {len(centers)} centers")
+    return Instance(g, centers, quotas)
 
 
 def _memory_cap(args) -> int | None:
@@ -131,10 +145,7 @@ def cmd_solve(args) -> int:
         raise ValueError("--trace - needs -o FILE: the assignment goes to stdout without it")
     for path in (args.output, args.summary, args.trace):
         _check_writable(path)  # before the solve, which an unwritable path would waste
-    g = _load_graph(args)
-    centers = _resolve_centers(args, g)
-    quotas = _resolve_quotas(args, g, len(centers))
-    inst = Instance(g, centers, quotas)
+    inst = _load_instance(args)
     if not args.trace:
         trace_cm = nullcontext()
     elif args.trace == "-":
@@ -146,7 +157,7 @@ def cmd_solve(args) -> int:
         assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=_memory_cap(args), trace=trace_fh)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(
-        f"n={g.node_count} m={g.edge_count} k={inst.k}"
+        f"n={inst.graph.node_count} m={inst.graph.edge_count} k={inst.k}"
         f" algorithm={args.algo} time_ms={elapsed_ms:.1f}",
         file=sys.stderr,
     )
@@ -157,10 +168,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args)
-    centers = _resolve_centers(args, g)
-    quotas = _resolve_quotas(args, g, len(centers))
-    inst = Instance(g, centers, quotas)
+    inst = _load_instance(args)
+    g, centers = inst.graph, inst.centers
     with open(args.assignment, "r", encoding="utf-8") as fh:
         assignment = parse_assignment_tsv(fh.read(), g, centers)
     verdict = verify_stable(inst, assignment, member_ball_distances(inst, assignment))
@@ -196,22 +205,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.grid:
-        source = f"grid:{args.grid}"
-        if args.jitter_seed is not None:
-            source += f":jitter:{args.jitter_seed}"
-    else:
-        source = args.graph
     cfg = bench_mod.BenchConfig(
-        source=source,
         k_values=tuple(int(x) for x in args.k.split(",")),
         runs=args.runs,
         seed=args.seed,
         algorithms=tuple(args.algos.split(",")),
         memory_cap_bytes=_memory_cap(args),
-        use_largest_component=args.largest_component,
     )
-    records = bench_mod.run_bench(cfg)
+    if args.grid is None:
+        name = os.path.basename(args.graph)
+    elif args.jitter_seed is None:
+        name = f"grid:{args.grid}"
+    else:
+        name = f"grid:{args.grid}:jitter:{args.jitter_seed}"
+    records = bench_mod.run_bench(_load_graph(args), name, cfg)
     if args.output is None or args.output == "-":
         bench_mod.write_csv(records, sys.stdout)
     else:
@@ -241,11 +248,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    dims = args.grid.lower().split("x")
-    if len(dims) != 2:
-        raise ValueError(f"bad grid spec {args.grid!r} (expected WxH)")
-    g = bench_mod.generate_grid(int(dims[0]), int(dims[1]), args.jitter_seed)
-    _write_text(args.output, write_tsv(g))
+    _write_text(args.output, write_tsv(_grid(args)))
     return 0
 
 
@@ -359,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory: the instance is too large for this machine", file=sys.stderr)
         return 3
     except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

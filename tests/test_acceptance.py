@@ -50,14 +50,13 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def scaling_sweep():
     """Shared 100x100 sweep for the GS-scaling and NNC-flatness criteria."""
     cfg = BenchConfig(
-        source="grid:100x100",
         k_values=SWEEP_K,
         runs=5,
         seed=1,
         algorithms=("gs-centers", "nnc"),
     )
     started = time.perf_counter()
-    records = run_bench(cfg)
+    records = run_bench(generate_grid(100, 100), "grid:100x100", cfg)
     elapsed = time.perf_counter() - started
     means: dict[tuple[str, int], float] = {}
     for algo in ("gs-centers", "nnc"):
@@ -300,14 +299,13 @@ def test_criterion_6_phenomenon_degenerate_regime():
 def test_criterion_7_memory_refusal_is_a_clean_outcome():
     cap = 10**6 * PAIR_ENTRY_BYTES  # one million materialized pair entries
     cfg = BenchConfig(
-        source="grid:100x100",
         k_values=(512,),
         runs=1,
         seed=4,
         algorithms=("gs-centers", "circle", "nnc"),
         memory_cap_bytes=cap,
     )
-    records = run_bench(cfg)
+    records = run_bench(generate_grid(100, 100), "grid:100x100", cfg)
     outcomes = {r.algorithm: r.outcome for r in records}
     gs = next(r for r in records if r.algorithm == "gs-centers")
     ok = (

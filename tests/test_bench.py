@@ -14,12 +14,8 @@ from stabledistrict import (
     sample_centers,
     write_csv,
 )
-from stabledistrict.bench import (
-    CSV_HEADER,
-    derive_seed,
-    jittered_weight,
-    load_graph_source,
-)
+from stabledistrict.bench import CSV_HEADER, derive_seed, jittered_weight
+from stabledistrict.cli import main
 from stabledistrict.gale_shapley import PAIR_ENTRY_BYTES
 
 
@@ -95,29 +91,37 @@ def test_jittered_weight_range():
         assert 1.0 <= w < 2.0
 
 
-def test_load_graph_source_grid_spec(tmp_path):
-    name, g = load_graph_source("grid:3x2")
-    assert name == "grid:3x2"
-    assert g.node_count == 6
-    _, gj = load_graph_source("grid:3x2:jitter:5")
-    assert gj == generate_grid(3, 2, jitter_seed=5)
-    with pytest.raises(ValueError):
-        load_graph_source("grid:3")
+def test_bench_reads_grid_specs_and_graph_files(tmp_path, capsys):
+    def bench(*argv):
+        code = main(["bench", "--k", "2", "--runs", "1", "--algos", "circle", *argv])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines()[1:], captured.err
+
+    code, rows, _ = bench("--grid", "3x2")
+    assert code == 0 and rows[0].split(",")[:3] == ["grid:3x2", "6", "7"]
+    code, rows, _ = bench("--grid", "3x2", "--jitter-seed", "5")
+    jittered = rows[0].split(",")
+    assert code == 0 and jittered[:3] == ["grid:3x2:jitter:5", "6", "7"]
+    grid = tmp_path / "grid.tsv"
+    assert main(["generate", "--grid", "3x2", "--jitter-seed", "5", "-o", str(grid)]) == 0
+    code, rows, _ = bench(str(grid))
+    same = rows[0].split(",")
+    assert code == 0 and same[0] == "grid.tsv" and same[8:] == jittered[8:]  # the same graph
+    assert bench("--grid", "3") == (1, [], "error: bad grid spec '3' (expected WxH)\n")
     p = tmp_path / "g.gr"
     p.write_text("p sp 2 1\na 1 2 4\n")
-    name, g = load_graph_source(str(p))
-    assert name == "g.gr" and g.edge_count == 1
+    code, rows, _ = bench(str(p))
+    assert code == 0 and rows[0].split(",")[:3] == ["g.gr", "2", "1"]
 
 
 def test_run_bench_shares_center_sets_across_algorithms():
     cfg = BenchConfig(
-        source="grid:6x6",
         k_values=(2, 3),
         runs=2,
         seed=11,
         algorithms=("gs-centers", "circle", "nnc", "mutual"),
     )
-    records = run_bench(cfg)
+    records = run_bench(generate_grid(6, 6), "grid:6x6", cfg)
     assert len(records) == 2 * 2 * 4
     by_cell = {}
     for r in records:
@@ -131,14 +135,13 @@ def test_run_bench_shares_center_sets_across_algorithms():
 def test_run_bench_records_memory_refusals():
     cap = 10 * PAIR_ENTRY_BYTES  # far below the 36*4 pair entries needed
     cfg = BenchConfig(
-        source="grid:6x6",
         k_values=(4,),
         runs=1,
         seed=3,
         algorithms=("gs-centers", "circle", "nnc"),
         memory_cap_bytes=cap,
     )
-    records = run_bench(cfg)
+    records = run_bench(generate_grid(6, 6), "grid:6x6", cfg)
     outcomes = {r.algorithm: r.outcome for r in records}
     assert outcomes["gs-centers"] == "refused-memory"
     assert outcomes["circle"] == "ok"
@@ -148,25 +151,23 @@ def test_run_bench_records_memory_refusals():
 
 
 def test_run_bench_rejects_oversized_k():
-    cfg = BenchConfig(source="grid:3x3", k_values=(10,), runs=1)
+    cfg = BenchConfig(k_values=(10,), runs=1)
     with pytest.raises(InstanceError):
-        run_bench(cfg)
+        run_bench(generate_grid(3, 3), "grid:3x3", cfg)
 
 
 def test_bench_config_validation():
     with pytest.raises(ValueError):
-        BenchConfig(source="grid:3x3", k_values=(), runs=1)
+        BenchConfig(k_values=(), runs=1)
     with pytest.raises(ValueError):
-        BenchConfig(source="grid:3x3", k_values=(1,), runs=0)
+        BenchConfig(k_values=(1,), runs=0)
     with pytest.raises(ValueError):
-        BenchConfig(source="grid:3x3", k_values=(1,), algorithms=("bogus",))
+        BenchConfig(k_values=(1,), algorithms=("bogus",))
 
 
 def test_csv_output_format():
-    cfg = BenchConfig(
-        source="grid:4x4", k_values=(2,), runs=1, algorithms=("circle",)
-    )
-    records = run_bench(cfg)
+    cfg = BenchConfig(k_values=(2,), runs=1, algorithms=("circle",))
+    records = run_bench(generate_grid(4, 4), "grid:4x4", cfg)
     buf = io.StringIO()
     write_csv(records, buf)
     lines = buf.getvalue().splitlines()

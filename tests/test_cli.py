@@ -284,6 +284,127 @@ def test_bench_requires_exactly_one_source(tmp_path):
         run(["bench", "--k", "2"])
 
 
+# Eight nodes with tied integer weights, and a two-node island whose arcs
+# collapse to one edge: --largest-component keeps 8 of 10 nodes.
+ISLAND_GR = """c eight road nodes and a two-node island
+p sp 10 12
+a 1 2 3
+a 2 3 4
+a 3 4 3
+a 4 1 5
+a 2 5 2
+a 5 6 7
+a 6 3 1
+a 6 7 4
+a 7 8 4
+a 8 4 6
+a 9 10 1
+a 10 9 2
+"""
+
+# Bench CSVs with the time_ms column blanked. The graph column names a
+# generated grid as grid:WxH[:jitter:S] and a graph file by its basename.
+PINNED_BENCH_CSV = [
+    (["--grid", "6x6", "--jitter-seed", "7", "--k", "2,3", "--runs", "2", "--seed", "11"], (
+        "grid:6x6:jitter:7,36,60,2,11,0,gs-centers,,62,ok,e45cfce5b6e6dde0\n"
+        "grid:6x6:jitter:7,36,60,2,11,0,gs-nodes,,42,ok,e45cfce5b6e6dde0\n"
+        "grid:6x6:jitter:7,36,60,2,11,0,circle,,62,ok,e45cfce5b6e6dde0\n"
+        "grid:6x6:jitter:7,36,60,2,11,0,nnc,,44,ok,e45cfce5b6e6dde0\n"
+        "grid:6x6:jitter:7,36,60,2,11,0,mutual,,62,ok,e45cfce5b6e6dde0\n"
+        "grid:6x6:jitter:7,36,60,2,11,1,gs-centers,,59,ok,6900f2b56303ddfa\n"
+        "grid:6x6:jitter:7,36,60,2,11,1,gs-nodes,,45,ok,6900f2b56303ddfa\n"
+        "grid:6x6:jitter:7,36,60,2,11,1,circle,,59,ok,6900f2b56303ddfa\n"
+        "grid:6x6:jitter:7,36,60,2,11,1,nnc,,47,ok,6900f2b56303ddfa\n"
+        "grid:6x6:jitter:7,36,60,2,11,1,mutual,,59,ok,6900f2b56303ddfa\n"
+        "grid:6x6:jitter:7,36,60,3,11,0,gs-centers,,72,ok,2a255588e936f864\n"
+        "grid:6x6:jitter:7,36,60,3,11,0,gs-nodes,,42,ok,2a255588e936f864\n"
+        "grid:6x6:jitter:7,36,60,3,11,0,circle,,72,ok,2a255588e936f864\n"
+        "grid:6x6:jitter:7,36,60,3,11,0,nnc,,45,ok,2a255588e936f864\n"
+        "grid:6x6:jitter:7,36,60,3,11,0,mutual,,72,ok,2a255588e936f864\n"
+        "grid:6x6:jitter:7,36,60,3,11,1,gs-centers,,70,ok,cf644ffb05de2f13\n"
+        "grid:6x6:jitter:7,36,60,3,11,1,gs-nodes,,42,ok,cf644ffb05de2f13\n"
+        "grid:6x6:jitter:7,36,60,3,11,1,circle,,70,ok,cf644ffb05de2f13\n"
+        "grid:6x6:jitter:7,36,60,3,11,1,nnc,,45,ok,cf644ffb05de2f13\n"
+        "grid:6x6:jitter:7,36,60,3,11,1,mutual,,70,ok,cf644ffb05de2f13\n"
+    )),
+    (["{d}/isl.gr", "--largest-component", "--k", "2,3", "--runs", "2", "--seed", "5"], (
+        "isl.gr,8,10,2,5,0,gs-centers,,12,ok,54cc93590103207b\n"
+        "isl.gr,8,10,2,5,0,gs-nodes,,11,ok,54cc93590103207b\n"
+        "isl.gr,8,10,2,5,0,circle,,12,ok,54cc93590103207b\n"
+        "isl.gr,8,10,2,5,0,nnc,,13,ok,54cc93590103207b\n"
+        "isl.gr,8,10,2,5,0,mutual,,12,ok,54cc93590103207b\n"
+        "isl.gr,8,10,2,5,1,gs-centers,,13,ok,5ba28aaba6764baf\n"
+        "isl.gr,8,10,2,5,1,gs-nodes,,9,ok,5ba28aaba6764baf\n"
+        "isl.gr,8,10,2,5,1,circle,,13,ok,5ba28aaba6764baf\n"
+        "isl.gr,8,10,2,5,1,nnc,,11,ok,5ba28aaba6764baf\n"
+        "isl.gr,8,10,2,5,1,mutual,,13,ok,5ba28aaba6764baf\n"
+        "isl.gr,8,10,3,5,0,gs-centers,,13,ok,e2b223e321328230\n"
+        "isl.gr,8,10,3,5,0,gs-nodes,,9,ok,e2b223e321328230\n"
+        "isl.gr,8,10,3,5,0,circle,,13,ok,e2b223e321328230\n"
+        "isl.gr,8,10,3,5,0,nnc,,12,ok,e2b223e321328230\n"
+        "isl.gr,8,10,3,5,0,mutual,,13,ok,e2b223e321328230\n"
+        "isl.gr,8,10,3,5,1,gs-centers,,16,ok,74f814a8bdd50228\n"
+        "isl.gr,8,10,3,5,1,gs-nodes,,11,ok,74f814a8bdd50228\n"
+        "isl.gr,8,10,3,5,1,circle,,16,ok,74f814a8bdd50228\n"
+        "isl.gr,8,10,3,5,1,nnc,,14,ok,74f814a8bdd50228\n"
+        "isl.gr,8,10,3,5,1,mutual,,16,ok,74f814a8bdd50228\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, rows", PINNED_BENCH_CSV, ids=["jitter-grid", "dimacs-trimmed"])
+def test_bench_csv_bytes_are_pinned(tmp_path, capsys, argv, rows):
+    (tmp_path / "isl.gr").write_text(ISLAND_GR)
+    assert run(["bench"] + [a.replace("{d}", str(tmp_path)) for a in argv]) == 0
+    header, *lines = capsys.readouterr().out.splitlines(keepends=True)
+    blanked = []
+    for line in lines:
+        fields = line.split(",")
+        float(fields[7])  # every run is ok, so every row carries a time
+        fields[7] = ""
+        blanked.append(",".join(fields))
+    assert header == "graph,n,m,k,seed,center_set,algorithm,time_ms,work,outcome,digest\n"
+    assert "".join(blanked) == rows
+
+
+def test_bench_and_solve_load_and_trim_a_graph_alike(tmp_path, capsys):
+    graph = tmp_path / "isl.gr"
+    graph.write_text(ISLAND_GR)
+    note = "largest-component: kept 8 of 10 nodes, 10 of 11 edges\n"
+    assert run(["solve", "--algo", "circle", "--random-centers", "2", "--largest-component", str(graph)]) == 0
+    solved = capsys.readouterr().err
+    assert solved.startswith(note) and "n=8 m=10 " in solved
+    assert run(["bench", "--k", "2", "--runs", "1", "--algos", "circle", "--largest-component", str(graph)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == note
+    n, m = captured.out.splitlines()[1].split(",")[1:3]
+    assert f"n={n} m={m} " in solved
+
+
+@pytest.mark.parametrize("spec", ["3", "axb", "3x", "2x3x4", ""])
+def test_generate_and_bench_share_one_grid_spec_error(capsys, spec):
+    for argv in (["generate", "--grid", spec], ["bench", "--grid", spec, "--k", "2"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: bad grid spec {spec!r} (expected WxH)\n"
+
+
+def test_running_out_of_memory_exits_3_with_one_line(grid_tsv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "a.tsv"
+    common = ["--random-centers", "4", "--seed", "2", str(grid_tsv)]
+    assert run(["solve", "--algo", "circle", "-o", str(out)] + common) == 0
+    capsys.readouterr()
+
+    def exhausted(inst, assignment):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "member_ball_distances", exhausted)
+    assert run(["verify", "--assignment", str(out)] + common) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: the instance is too large for this machine\n"
+
+
 def test_render_svg_and_geojson(grid_tsv, tmp_path):
     out = tmp_path / "a.tsv"
     assert run([
@@ -504,6 +625,10 @@ AUDIT_CASES = [
     ("grid-not-ints", 1, {}, ["generate", "--grid", "axb"]),
     ("grid-zero", 1, {}, ["generate", "--grid", "0x5"]),
     ("bench-bad-grid", 1, {}, ["bench", "--grid", "3", "--k", "2", "--runs", "1"]),
+    ("bench-grid-not-ints", 1, {}, ["bench", "--grid", "axb", "--k", "2", "--runs", "1"]),
+    ("bench-missing-graph", 1, {}, ["bench", "--k", "2", "--runs", "1", "{d}/none.tsv"]),
+    ("bench-bad-edge", 1, {"x.tsv": "0 1 1\n1 2 one\n"}, ["bench", "--k", "2", "--runs", "1", "{d}/x.tsv"]),
+    ("bench-disconnected", 2, {"x.tsv": "0 1 1\n2 3 1\n"}, ["bench", "--k", "2", "--runs", "1", "{d}/x.tsv"]),
     ("bench-k-zero", 1, {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
     ("bench-unknown-algorithm", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
     ("verify-empty-assignment", 1, {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
