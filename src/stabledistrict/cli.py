@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 from . import bench as bench_mod
 from .gale_shapley import DEFAULT_MEMORY_CAP_BYTES
-from .graph import GraphError, ParseError, RoadGraph, largest_component, parse_dimacs, parse_tsv, write_tsv
+from .graph import GraphError, RoadGraph, largest_component, parse_dimacs, parse_tsv, write_tsv
 from .model import (
     BlockingPair,
     DistanceMismatch,
@@ -212,6 +212,7 @@ def cmd_bench(args) -> int:
         algorithms=tuple(args.algos.split(",")),
         memory_cap_bytes=_memory_cap(args),
     )
+    _check_writable(args.output)  # before the sweep, which an unwritable path would waste
     if args.grid is None:
         name = os.path.basename(args.graph)
     elif args.jitter_seed is None:
@@ -352,11 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and (args.graph is None) == (args.grid is None):
         parser.error("bench needs exactly one of a graph file or --grid")
+    if args.command == "bench" and args.graph is not None and args.jitter_seed is not None:
+        parser.error("--jitter-seed jitters a generated grid: use it with --grid only")
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InstanceError as exc:
         print(f"error: infeasible instance: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import le, ne
-from typing import IO, NamedTuple
+from operator import le
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .graph import RoadGraph, _lines, dijkstra, is_connected
 
@@ -161,21 +161,23 @@ def _members_by_center(inst: Instance, a: Assignment) -> list[list[int]]:
     return members
 
 
-def member_ball_distances(inst: Instance, a: Assignment) -> list[list[float]]:
+def member_ball_distances(inst: Instance, a: Assignment) -> Iterator[list[float]]:
     """Distance rows that ``verify_stable`` can check ``a`` with, searching
     each center only out to its farthest assigned member.
 
-    Each row has one entry per node. It is exact for every node no farther
-    from the center than the center's worst member, and elsewhere holds inf
-    or a tentative distance, never below the true one. A center with no
-    members searches nothing. Reads only the graph and the assignment.
+    ``a`` is checked at once; each row's ``dijkstra`` runs only when the
+    row is read. A row has one entry per node. It is exact for every node
+    no farther from the center than the center's worst member, and
+    elsewhere holds inf or a tentative distance, never below the true one.
+    A center with no members searches nothing. Reads only the graph and the
+    assignment.
     """
     members = _members_by_center(inst, a)
-    return [dijkstra(inst.graph, c, m) for c, m in zip(inst.centers, members)]
+    return (dijkstra(inst.graph, c, m) for c, m in zip(inst.centers, members))
 
 
 def verify_stable(
-    inst: Instance, a: Assignment, dists: list[list[float]]
+    inst: Instance, a: Assignment, dists: Iterable[list[float]]
 ) -> QuotaViolation | DistanceMismatch | BlockingPair | None:
     """Check quotas, then each claimed distance, then search for a blocking
     pair; None means stable.
@@ -184,46 +186,46 @@ def verify_stable(
     assigned center, and c prefers u to its least-preferred assigned node,
     all under the Score total order (so the verdict is well defined even
     with tied distances). Among blocking pairs the one with the smallest
-    Score is reported. Quota violations are reported first, then the
-    lowest node whose ``a.dist`` entry differs from its row entry.
+    Score is reported. Quota violations are reported first, before any row
+    is read, then the lowest node whose ``a.dist`` entry differs from its
+    row entry.
 
-    ``dists`` holds one row per center. Full rows (``compute_center_distances``)
-    work, and so does any row that is exact for every node scoring at or
-    below the center's worst member and elsewhere never below the true
-    distance (``member_ball_distances``): a node outside that ball then
-    scores above the worst member whatever its entry holds, so it fails the
+    ``dists`` yields one row per center, in center order; it is read once,
+    a row at a time. Full rows (``compute_center_distances``) work, and so
+    does any row that is exact for every node scoring at or below the
+    center's worst member and elsewhere never below the true distance
+    (``member_ball_distances``): a node outside that ball then scores
+    above the worst member whatever its entry holds, so it fails the
     ``d > wd`` or ``s < wc`` test. Both kinds are exact at every member, so
-    each claimed distance is compared with the true one.
+    each claimed distance is compared with the true one. Each row is
+    scanned against the claimed distances, which are the true ones once
+    none is wrong, and only then does the scan's verdict count.
     """
     n = inst.graph.node_count
     k = inst.k
-    if len(dists) != k:
-        raise ValueError(f"expected {k} distance rows, got {len(dists)}")
-    for c, row in enumerate(dists):
-        if len(row) != n:
-            raise ValueError(f"distance row {c} has {len(row)} entries, expected {n}")
     members = _members_by_center(inst, a)
     for c in range(k):
         if len(members[c]) != inst.quotas[c]:
             return QuotaViolation(center=c, expected=inst.quotas[c], actual=len(members[c]))
 
-    match = a.match
-    own = [dists[c][u] for u, c in enumerate(match)]
-    wrong = next(compress(range(n), map(ne, a.dist, own)), None)
-    if wrong is not None:
-        return DistanceMismatch(wrong, match[wrong], a.dist[wrong], own[wrong])
-    # Worst assigned score per center, as a full Score for tie-safe compares.
-    worst: list[Score | None] = [None] * k
-    for u, c in enumerate(match):
-        s = Score(own[u], u, c)
-        if worst[c] is None or s > worst[c]:
-            worst[c] = s
+    match, own = a.match, a.dist
+    # Worst claimed score per center, as a full Score for tie-safe compares.
+    worst = [max(Score(own[u], u, c) for u in m) for c, m in enumerate(members)]
+    wrong: DistanceMismatch | None = None
     best: BlockingPair | None = None
     best_score: Score | None = None
-    for c in range(k):
-        row = dists[c]
+    rows = 0
+    for c, row in enumerate(dists):
+        rows += 1
+        if c >= k:
+            continue
+        if len(row) != n:
+            raise ValueError(f"distance row {c} has {len(row)} entries, expected {n}")
+        # Members ascend, so the first wrong one is this row's lowest.
+        bad = next((u for u in members[c] if own[u] != row[u]), None)
+        if bad is not None and (wrong is None or bad < wrong.node):
+            wrong = DistanceMismatch(bad, c, own[bad], row[bad])
         wc = worst[c]
-        assert wc is not None  # quotas are positive, so every center has members
         wd = wc.dist
         # (u, c) can block only if row[u] <= own[u] and row[u] <= wd, so
         # Scores are built only for the pairs that pass both float tests.
@@ -246,7 +248,9 @@ def verify_stable(
                         worst_node=wc.node,
                         worst_dist=wd,
                     )
-    return best
+    if rows != k:
+        raise ValueError(f"expected {k} distance rows, got {rows}")
+    return wrong or best
 
 
 def assignment_to_tsv(inst: Instance, a: Assignment) -> str:

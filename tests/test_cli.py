@@ -284,6 +284,23 @@ def test_bench_requires_exactly_one_source(tmp_path):
         run(["bench", "--k", "2"])
 
 
+def test_unwritable_bench_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(cli.bench_mod, "run_bench", lambda *args: sweeps.append(args) or [])
+    assert run(["bench", "--grid", "4x4", "--k", "2", "--runs", "1", "-o", str(tmp_path / "missing/dir/x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not sweeps
+
+
+def test_bench_refuses_a_jitter_seed_beside_a_graph_file(grid_tsv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["bench", "--k", "2", "--runs", "1", "--jitter-seed", "5", str(grid_tsv)])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" --grid only\n") and err.count("\n") == 1, err
+
+
 # Eight nodes with tied integer weights, and a two-node island whose arcs
 # collapse to one edge: --largest-component keeps 8 of 10 nodes.
 ISLAND_GR = """c eight road nodes and a two-node island
@@ -631,6 +648,7 @@ AUDIT_CASES = [
     ("bench-disconnected", 2, {"x.tsv": "0 1 1\n2 3 1\n"}, ["bench", "--k", "2", "--runs", "1", "{d}/x.tsv"]),
     ("bench-k-zero", 1, {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
     ("bench-unknown-algorithm", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
+    ("bench-jitter-seed-beside-a-graph", 1, {}, ["bench", "--k", "2", "--runs", "1", "--jitter-seed", "5", "{d}/g.tsv"]),
     ("verify-empty-assignment", 1, {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
     ("verify-binary-assignment", 1, {"e.tsv": b"\x80\x81\x00"}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),
     ("verify-missing-assignment", 1, {}, ["verify", "--assignment", "{d}/none.tsv", "--random-centers", "2", "{d}/g.tsv"]),

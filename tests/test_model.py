@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -19,11 +20,14 @@ from stabledistrict import (
     RoadGraph,
     compute_center_distances,
     equal_quotas,
+    generate_grid,
     member_ball_distances,
     parse_assignment_tsv,
     solve,
     verify_stable,
 )
+from stabledistrict import model
+from stabledistrict.bench import derive_seed, sample_centers
 
 from helpers import (
     acceptance_grid_instance,
@@ -291,9 +295,50 @@ def test_member_ball_distances_validates_like_verify_stable(p4):
             member_ball_distances(p4, a)
     # A center with no members searches nothing; the quota check fires first.
     a = Assignment(match=[0, 0, 0, 0], dist=[0.0] * 4)
-    rows = member_ball_distances(p4, a)
+    rows = list(member_ball_distances(p4, a))
     assert rows == [dists[0], [math.inf, 0.0, math.inf, math.inf]]
     assert verify_stable(p4, a, rows) == QuotaViolation(center=0, expected=2, actual=4)
+
+
+def test_verify_stable_reads_k_rows(p4):
+    dists = compute_center_distances(p4)
+    a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 3.0])
+    for rows in ([], dists[:1], dists + [dists[0]], dists + dists):
+        with pytest.raises(ValueError, match=f"expected 2 distance rows, got {len(rows)}$"):
+            verify_stable(p4, a, iter(rows))
+    # Quotas are checked before any row is read, so a malformed row does
+    # not hide a quota violation.
+    a = Assignment(match=[0, 0, 0, 1], dist=[0.0, 1.0, 2.0, 2.0])
+    assert verify_stable(p4, a, [dists[0][:-1]]) == QuotaViolation(center=0, expected=2, actual=3)
+
+
+def test_a_quota_violation_runs_no_search(p4, monkeypatch):
+    searches = []
+    inner = model.dijkstra
+    monkeypatch.setattr(model, "dijkstra", lambda *args: searches.append(args) or inner(*args))
+    a = Assignment(match=[0, 0, 0, 1], dist=[0.0, 1.0, 2.0, 2.0])
+    assert verify_stable(p4, a, member_ball_distances(p4, a)) == QuotaViolation(0, 2, 3)
+    assert searches == []
+    a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 3.0])
+    assert verify_stable(p4, a, member_ball_distances(p4, a)) is None
+    assert len(searches) == 2
+
+
+def test_verify_holds_one_member_ball_row_at_a_time():
+    # Rows are read one at a time, so the peak is O(n): holding all 64
+    # rows of 1024 slots peaked at 0.75 MiB here.
+    g = generate_grid(32, 32, jitter_seed=7)
+    n = g.node_count
+    inst = Instance(g, sample_centers(n, 64, derive_seed(1, 64, 0)), equal_quotas(n, 64))
+    a = solve(inst, "nnc")[0]
+    tracemalloc.start()
+    try:
+        verdict = verify_stable(inst, a, member_ball_distances(inst, a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is None
+    assert peak < 0.3 * 2**20
 
 
 def test_assignment_tsv_roundtrip(p6):
