@@ -23,12 +23,7 @@ from .bench import (
     write_csv,
 )
 from .circle import CircleRun, circle_growing_run
-from .gale_shapley import (
-    DEFAULT_MEMORY_CAP_BYTES,
-    PAIR_ENTRY_BYTES,
-    PreferenceTables,
-    build_preferences,
-)
+from .gale_shapley import PreferenceTables, build_preferences
 from .graph import (
     GraphError,
     ParseError,
@@ -40,6 +35,7 @@ from .graph import (
     write_tsv,
 )
 from .model import (
+    DEFAULT_MEMORY_CAP_BYTES,
     Assignment,
     BlockingPair,
     DistanceMismatch,
@@ -84,7 +80,6 @@ __all__ = [
     "MemoryCapExceeded",
     "NncRun",
     "OracleError",
-    "PAIR_ENTRY_BYTES",
     "PALETTE",
     "ParseError",
     "PreferenceTables",

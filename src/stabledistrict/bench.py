@@ -28,14 +28,10 @@ from dataclasses import dataclass
 from typing import IO
 
 from .circle import circle_growing_run
-from .gale_shapley import (
-    DEFAULT_MEMORY_CAP_BYTES,
-    build_preferences,
-    gs_centers_run,
-    gs_nodes_run,
-)
+from .gale_shapley import build_preferences, gs_centers_run, gs_nodes_run
 from .graph import RoadGraph
 from .model import (
+    DEFAULT_MEMORY_CAP_BYTES,
     Assignment,
     Instance,
     InstanceError,
@@ -197,13 +193,9 @@ def solve(
     ``memory_cap_bytes`` bounds the table solvers (None lifts the cap), and
     ``trace`` receives circle growing's events.
     """
-    if algo == "gs-centers":
+    if algo in ("gs-centers", "gs-nodes"):
         prefs = build_preferences(inst, memory_cap_bytes=memory_cap_bytes)
-        run = gs_centers_run(inst, prefs)
-        return run.assignment, run.proposals
-    if algo == "gs-nodes":
-        prefs = build_preferences(inst, memory_cap_bytes=memory_cap_bytes)
-        run = gs_nodes_run(inst, prefs)
+        run = (gs_centers_run if algo == "gs-centers" else gs_nodes_run)(inst, prefs)
         return run.assignment, run.proposals
     if algo == "circle":
         run = circle_growing_run(inst, trace=trace)

@@ -12,6 +12,7 @@ as nondeterministic.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -19,9 +20,9 @@ from collections import Counter
 from contextlib import nullcontext
 
 from . import bench as bench_mod
-from .gale_shapley import DEFAULT_MEMORY_CAP_BYTES
 from .graph import GraphError, RoadGraph, largest_component, parse_dimacs, parse_tsv, write_tsv
 from .model import (
+    DEFAULT_MEMORY_CAP_BYTES,
     BlockingPair,
     DistanceMismatch,
     Instance,
@@ -82,11 +83,14 @@ def _load_graph(args) -> RoadGraph:
 def _read_int_lines(path: str) -> list[int]:
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            values.append(int(line))
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
     return values
 
 
@@ -108,12 +112,6 @@ def _load_instance(args) -> Instance:
         if len(quotas) != len(centers):
             raise InstanceError(f"quota file has {len(quotas)} entries for {len(centers)} centers")
     return Instance(g, centers, quotas)
-
-
-def _memory_cap(args) -> int | None:
-    if args.no_memory_cap:
-        return None
-    return args.memory_cap
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -138,13 +136,29 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
+def _check_outputs(args) -> None:
+    """Check solve's outputs before the solve, which a bad one would waste:
+    each must be writable, no two may name one file and at most one may be
+    stdout, or the later write would clobber or interleave with the earlier."""
+    claimed: dict[str, str] = {}
+    for flag, path in (("-o", args.output or "-"), ("--summary", args.summary), ("--trace", args.trace)):
+        if not path:
+            continue
+        key = path if path == "-" else os.path.realpath(path)
+        if key not in claimed:
+            claimed[key] = flag
+        elif path == "-" and claimed[key] == "-o":
+            raise ValueError(f"{flag} - needs -o FILE: the assignment goes to stdout without it")
+        else:
+            where = "stdout" if path == "-" else path
+            raise ValueError(f"{claimed[key]} and {flag} both write to {where}: give each its own file")
+        _check_writable(path)
+
+
 def cmd_solve(args) -> int:
     if args.trace and args.algo != "circle":
         raise ValueError(f"--trace records circle-growing events; --algo {args.algo} writes none")
-    if args.trace == "-" and args.output in (None, "-"):
-        raise ValueError("--trace - needs -o FILE: the assignment goes to stdout without it")
-    for path in (args.output, args.summary, args.trace):
-        _check_writable(path)  # before the solve, which an unwritable path would waste
+    _check_outputs(args)
     inst = _load_instance(args)
     if not args.trace:
         trace_cm = nullcontext()
@@ -154,7 +168,7 @@ def cmd_solve(args) -> int:
         trace_cm = open(args.trace, "w", encoding="utf-8", newline="")
     with trace_cm as trace_fh:
         start = time.perf_counter()
-        assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=_memory_cap(args), trace=trace_fh)
+        assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=args.memory_cap, trace=trace_fh)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(
         f"n={inst.graph.node_count} m={inst.graph.edge_count} k={inst.k}"
@@ -210,7 +224,7 @@ def cmd_bench(args) -> int:
         runs=args.runs,
         seed=args.seed,
         algorithms=tuple(args.algos.split(",")),
-        memory_cap_bytes=_memory_cap(args),
+        memory_cap_bytes=args.memory_cap,
     )
     _check_writable(args.output)  # before the sweep, which an unwritable path would waste
     if args.grid is None:
@@ -219,12 +233,9 @@ def cmd_bench(args) -> int:
         name = f"grid:{args.grid}"
     else:
         name = f"grid:{args.grid}:jitter:{args.jitter_seed}"
-    records = bench_mod.run_bench(_load_graph(args), name, cfg)
-    if args.output is None or args.output == "-":
-        bench_mod.write_csv(records, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            bench_mod.write_csv(records, fh)
+    csv = io.StringIO()
+    bench_mod.write_csv(bench_mod.run_bench(_load_graph(args), name, cfg), csv)
+    _write_text(args.output, csv.getvalue())
     return 0
 
 
@@ -273,12 +284,22 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _byte_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number of bytes, got {text!r}")
+    return int(text)
+
+
 def _add_memory_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--memory-cap", type=int, default=DEFAULT_MEMORY_CAP_BYTES, metavar="BYTES",
-        help="refuse solvers whose scratch estimate exceeds this many bytes",
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
+        "--memory-cap", type=_byte_count, default=DEFAULT_MEMORY_CAP_BYTES, metavar="BYTES",
+        help="refuse the table solvers when their memory estimate exceeds this many bytes",
     )
-    p.add_argument("--no-memory-cap", action="store_true", help="disable the memory cap")
+    group.add_argument(
+        "--no-memory-cap", action="store_const", const=None, dest="memory_cap",
+        help="disable the memory cap",
+    )
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,9 +7,9 @@ use: the center-proposing run reads only the centers' lists and the
 node-proposing run only the nodes', so neither pays for the other side's.
 Because the table is a real failure mode on large inputs,
 ``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
-when the estimated size of the table and both sides' lists exceeds a
-configurable byte budget, instead of crashing mid-run; pass
-``memory_cap_bytes=None`` to override.
+when ``model.check_table_memory``, which prices both sides' lists, puts
+the table over a configurable byte budget, instead of crashing mid-run;
+pass ``memory_cap_bytes=None`` to override.
 """
 
 from __future__ import annotations
@@ -21,24 +21,10 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .model import Assignment, Instance, MemoryCapExceeded, compute_center_distances, rank_rows
-
-# Bytes per (center, node) pair while the tables are built: the distance
-# row's 24-byte boxed float and 8-byte list slot, its 8-byte array copy,
-# and a 4-byte id in each side's preference array. Each side is built
-# only when first read, but a caller may read both (the cross-checks do),
-# so the estimate prices both: the cap must bound what one table can hold.
-PAIR_ENTRY_BYTES = 48
-# Bytes per array row (an 80-byte array header plus its list slot, rounded
-# up). Each node owns one preference row; each center owns a distance
-# list, a distance array and a preference array, and a fourth row stands
-# for the k-long column tuple and scratch list of one node's sort.
-ROW_BYTES = 96
-DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3
-
-
-def estimate_preference_bytes(n: int, k: int) -> int:
-    return n * k * PAIR_ENTRY_BYTES + (n + 4 * k) * ROW_BYTES
+from .model import (
+    DEFAULT_MEMORY_CAP_BYTES, Assignment, Instance, check_table_memory,
+    compute_center_distances, rank_rows,
+)
 
 
 @dataclass
@@ -88,9 +74,7 @@ def build_preferences(
 ) -> PreferenceTables:
     """Refuse a table over the memory cap; otherwise return one whose k
     Dijkstras run on its first read."""
-    required = estimate_preference_bytes(inst.graph.node_count, inst.k)
-    if memory_cap_bytes is not None and required > memory_cap_bytes:
-        raise MemoryCapExceeded("gale-shapley", required, memory_cap_bytes)
+    check_table_memory("gale-shapley", inst.graph.node_count, inst.k, memory_cap_bytes)
     return PreferenceTables(inst)
 
 

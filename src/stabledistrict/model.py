@@ -51,6 +51,30 @@ class MemoryCapExceeded(RuntimeError):
         )
 
 
+# Bytes held by a solver that materializes the k x n distance table:
+# Gale-Shapley's with both sides read, in either order, or the mutual-
+# closest reference. Per (center, node) pair: a row's 24-byte boxed float
+# and 8-byte list slot, and a 4-byte id in a ranked row (Gale-Shapley
+# frees each boxed row as it copies it into 8-byte array slots). Per node:
+# a one-center preference array (84 bytes) and its slot, which dominate
+# Gale-Shapley at small k, and one row's ranking scratch: a boxed index
+# and a boxed key with their slots. Per center: row, array and ranked-row
+# headers with their slots, a merge-heap entry, one node's column tuple.
+PAIR_ENTRY_BYTES = 36
+NODE_BYTES = 160
+CENTER_BYTES = 384
+DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3
+
+
+def check_table_memory(algorithm: str, n: int, k: int, cap_bytes: int | None) -> int:
+    """The estimated peak bytes of ``algorithm`` holding a k x n table.
+    Raises MemoryCapExceeded when it exceeds ``cap_bytes``; None lifts the cap."""
+    required = n * k * PAIR_ENTRY_BYTES + n * NODE_BYTES + k * CENTER_BYTES
+    if cap_bytes is not None and required > cap_bytes:
+        raise MemoryCapExceeded(algorithm, required, cap_bytes)
+    return required
+
+
 def equal_quotas(n: int, k: int) -> list[int]:
     """Split n into k near-equal quotas; the first n % k centers get the larger one."""
     if k <= 0 or k > n:

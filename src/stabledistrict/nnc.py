@@ -18,26 +18,12 @@ from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Literal, NamedTuple, Protocol
 
 from .graph import require_settles_in_order
-from .model import Assignment, Instance, MemoryCapExceeded, Score, compute_center_distances, rank_rows
+from .model import (
+    DEFAULT_MEMORY_CAP_BYTES, Assignment, Instance, Score, check_table_memory,
+    compute_center_distances, rank_rows,
+)
 
 Side = Literal["centers"]
-
-# Bytes held by the mutual-closest-pair solver. Per (center, node) pair: a
-# distance-table entry (a 24-byte boxed float and its 8-byte list slot)
-# plus a 4-byte id in the center's ranked row. Per node: the match, dist
-# and order list slots, an order entry (a 56-byte 2-tuple and a 28-byte
-# boxed node id), and one row's sort scratch (a boxed index, its list and
-# key slots, merge space). Per center: a merge-heap entry (a 64-byte
-# 3-tuple, its slot and a boxed node id), the table row's list header, the
-# ranked row's array header, and its list slots.
-MUTUAL_PAIR_BYTES = 36
-MUTUAL_NODE_BYTES = 160
-MUTUAL_CENTER_BYTES = 256
-
-
-def estimate_mutual_bytes(n: int, k: int) -> int:
-    return n * k * MUTUAL_PAIR_BYTES + n * MUTUAL_NODE_BYTES + k * MUTUAL_CENTER_BYTES
-
 
 _INF = float("inf")
 
@@ -238,10 +224,9 @@ def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncR
 class MutualRun(NamedTuple):
     assignment: Assignment
     pops: int
-    order: list[tuple[int, int]]  # (node, center) in match order
 
 
-def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -> MutualRun:
+def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = DEFAULT_MEMORY_CAP_BYTES) -> MutualRun:
     """Reference solver: repeatedly match the global minimum-score pair.
 
     The pair of minimum Score among (unmatched node, unfilled center)
@@ -249,7 +234,8 @@ def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -
     the unique stable solution. The full k x n distance table is
     materialized, each center's row is ranked into (dist, node) order
     (``rank_rows``), and the k ranked rows are merged through a k-entry
-    heap in Score order.
+    heap in Score order. Like Gale-Shapley, it refuses up front when
+    ``model.check_table_memory`` puts the table over ``memory_cap_bytes``.
     Pairs whose node is matched are popped and skipped, and a center's row
     leaves the heap when its quota fills, so each center pops exactly its
     ball up to its worst member: ``pops`` equals circle growing's
@@ -257,10 +243,7 @@ def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -
     """
     n = inst.graph.node_count
     k = inst.k
-    if memory_cap_bytes is not None:
-        required = estimate_mutual_bytes(n, k)
-        if required > memory_cap_bytes:
-            raise MemoryCapExceeded("mutual", required, memory_cap_bytes)
+    check_table_memory("mutual", n, k, memory_cap_bytes)
     table = compute_center_distances(inst)
     ranked = rank_rows(table)
     heap = [(table[c][ranked[c][0]], ranked[c][0], c) for c in range(k)]
@@ -269,15 +252,15 @@ def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -
     remaining = list(inst.quotas)
     match = [-1] * n
     dist_out = [0.0] * n
-    order: list[tuple[int, int]] = []
+    matched = 0
     pops = 0
-    while len(order) < n:
+    while matched < n:
         d, u, c = heap[0]
         pops += 1
         if match[u] < 0:
             match[u] = c
             dist_out[u] = d
-            order.append((u, c))
+            matched += 1
             remaining[c] -= 1
             if remaining[c] == 0:
                 heappop(heap)
@@ -287,4 +270,4 @@ def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = None) -
         v = ranked[c][p]
         heapreplace(heap, (table[c][v], v, c))
         next_pos[c] = p + 1
-    return MutualRun(assignment=Assignment(match=match, dist=dist_out), pops=pops, order=order)
+    return MutualRun(assignment=Assignment(match=match, dist=dist_out), pops=pops)

@@ -506,8 +506,15 @@ def reference_circle_growing(inst: Instance, trace: IO[str] | None = None) -> Ci
     return CircleRun(Assignment(match=match, dist=dist), settled_total, pushed_total)
 
 
+def mutual_match_order(a: Assignment) -> list[tuple[int, int]]:
+    """The (node, center) pairs in the order the mutual-closest solver
+    matches them: it matches in ascending Score, so the order is the
+    assignment's ``(dist, node, center)`` triples, sorted."""
+    return [(u, c) for _, u, c in sorted(zip(a.dist, range(len(a.match)), a.match))]
+
+
 def check_mutual_closest_steps(inst: Instance, order: list[tuple[int, int]]) -> None:
-    """Replay a mutual-closest run's ``order`` of (node, center) matches
+    """Replay an ``order`` of (node, center) matches (``mutual_match_order``)
     against a full table, asserting at each step, by an exhaustive scan of
     both sides' active partners, that the pair is mutual-closest."""
     table = compute_center_distances(inst)

@@ -16,7 +16,7 @@ from stabledistrict import (
 )
 from stabledistrict.bench import CSV_HEADER, derive_seed, jittered_weight
 from stabledistrict.cli import main
-from stabledistrict.gale_shapley import PAIR_ENTRY_BYTES
+from stabledistrict.model import PAIR_ENTRY_BYTES
 
 
 def test_splitmix64_reference_sequence():

@@ -95,6 +95,77 @@ def test_solve_memory_refusal_exits_3(grid_tsv, capsys):
     assert "memory cap" in capsys.readouterr().err
 
 
+def test_no_memory_cap_lifts_the_cap_that_memory_cap_sets(grid_tsv, capsys):
+    solve = ["solve", "--random-centers", "6", "--seed", "1", str(grid_tsv)]
+    assert run(solve + ["--algo", "circle"]) == 0
+    expected = capsys.readouterr().out
+    for algo, name in (("gs-centers", "gale-shapley"), ("mutual", "mutual")):
+        assert run(solve + ["--algo", algo, "--memory-cap", "10"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {name}: estimated ")
+        assert run(solve + ["--algo", algo, "--no-memory-cap"]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--algo", "gs-centers", "--random-centers", "6"],
+    ["bench", "--k", "2", "--runs", "1", "--algos", "gs-centers"],
+])
+def test_memory_cap_flags_are_checked_as_usage(grid_tsv, capsys, monkeypatch, command):
+    solves = []
+    monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))
+    monkeypatch.setattr(cli.bench_mod, "run_bench", lambda *args, **kw: solves.append(args))
+    for flags, message in (
+        (["--memory-cap", "-5"], "error: argument --memory-cap: expected a whole number of bytes, got '-5'\n"),
+        (["--memory-cap", "10", "--no-memory-cap"],
+         "error: argument --no-memory-cap: not allowed with argument --memory-cap\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(command + flags + [str(grid_tsv)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+    assert not solves
+
+
+def test_solve_outputs_name_distinct_files_and_one_stdout(grid_tsv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    solves = []
+    monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))
+    solve = ["solve", "--algo", "circle", "--random-centers", "2", "--seed", "3", str(grid_tsv)]
+    for outputs, message in (
+        (["-o", "b.tsv", "--summary", "b.tsv"], "-o and --summary both write to b.tsv"),
+        (["-o", "a.tsv", "--trace", "./a.tsv"], "-o and --trace both write to ./a.tsv"),
+        (["-o", "a.tsv", "--summary", "s.json", "--trace", "s.json"], "--summary and --trace both write to s.json"),
+        (["--summary", "-"], "--summary - needs -o FILE: the assignment goes to stdout without it"),
+        (["-o", "-", "--summary", "-"], "--summary - needs -o FILE: the assignment goes to stdout without it"),
+        (["-o", "a.tsv", "--summary", "-", "--trace", "-"], "--summary and --trace both write to stdout"),
+    ):
+        assert run(solve + outputs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+    assert not solves
+    assert os.listdir(tmp_path) == ["grid.tsv"]
+
+
+def test_summary_dash_goes_to_stdout_when_the_assignment_goes_to_a_file(grid_tsv, tmp_path, capsys):
+    solve = ["solve", "--algo", "circle", "--random-centers", "2", "--seed", "3", str(grid_tsv)]
+    assert run(solve + ["-o", str(tmp_path / "a.tsv"), "--summary", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    assert run(solve + ["-o", str(tmp_path / "b.tsv"), "--summary", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "s.json").read_text()
+    assert (tmp_path / "b.tsv").read_text() == (tmp_path / "a.tsv").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--centers", "--quotas"])
+def test_a_bad_integer_line_names_its_file_and_line(grid_tsv, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# ids\n0\n\nx\n")
+    instance = ["--random-centers", "2"] if flag == "--quotas" else []
+    assert run(["solve", "--algo", "circle", *instance, flag, str(bad), str(grid_tsv)]) == 1
+    assert capsys.readouterr().err == f"error: {bad} line 4: expected an integer, got 'x'\n"
+
+
 def test_unwritable_solve_output_fails_before_the_solve(grid_tsv, tmp_path, capsys, monkeypatch):
     solves = []
     monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))
@@ -638,6 +709,11 @@ AUDIT_CASES = [
     ("quotas-not-ints", 1, {"q.txt": "12.5\n12.5\n"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
     ("quotas-binary", 1, {"q.txt": b"\xff\xfe\x00"}, CIRCLE + ["2", "--quotas", "{d}/q.txt", "{d}/g.tsv"]),
     ("memory-cap", 3, {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
+    ("memory-cap-mutual", 3, {}, ["solve", "--algo", "mutual", "--random-centers", "5", "--memory-cap", "10", "{d}/g.tsv"]),
+    ("memory-cap-negative", 1, {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "-5", "{d}/g.tsv"]),
+    ("memory-cap-beside-no-memory-cap", 1, {}, ["solve", "--algo", "gs-centers", "--random-centers", "5", "--memory-cap", "10", "--no-memory-cap", "{d}/g.tsv"]),
+    ("bench-memory-cap-negative", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--memory-cap", "-5"]),
+    ("bench-memory-cap-beside-no-memory-cap", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--memory-cap", "10", "--no-memory-cap"]),
     ("grid-one-dimension", 1, {}, ["generate", "--grid", "4"]),
     ("grid-not-ints", 1, {}, ["generate", "--grid", "axb"]),
     ("grid-zero", 1, {}, ["generate", "--grid", "0x5"]),
@@ -670,6 +746,9 @@ AUDIT_CASES = [
     ("nnc-absorbing-weight", 1, {"x.tsv": ABSORBING}, ["solve", "--algo", "nnc", "--random-centers", "1", "{d}/x.tsv"]),
     ("trace-to-stdout-beside-the-assignment", 1, {}, CIRCLE + ["2", "--trace", "-", "{d}/g.tsv"]),
     ("trace-to-stdout-beside-output-dash", 1, {}, CIRCLE + ["2", "--trace", "-", "-o", "-", "{d}/g.tsv"]),
+    ("summary-to-stdout-beside-the-assignment", 1, {}, CIRCLE + ["2", "--summary", "-", "{d}/g.tsv"]),
+    ("summary-and-output-name-one-file", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "--summary", "{d}/o.tsv", "{d}/g.tsv"]),
+    ("trace-and-output-name-one-file", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "--trace", "{d}/o.tsv", "{d}/g.tsv"]),
     ("co-beside-tsv-solve", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "{d}/g.tsv", "{d}/missing.co"]),
     ("co-beside-tsv-verify", 1, {}, ["verify", "--assignment", "{d}/a.tsv", "--random-centers", "5", "{d}/g.tsv", "{d}/missing.co"]),
     ("co-beside-tsv-render", 1, {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}/m.svg", "{d}/g.tsv", "{d}/missing.co"]),

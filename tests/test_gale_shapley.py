@@ -18,14 +18,9 @@ from stabledistrict import (
     verify_stable,
 )
 from stabledistrict.bench import derive_seed
-from stabledistrict.gale_shapley import (
-    PAIR_ENTRY_BYTES,
-    ROW_BYTES,
-    estimate_preference_bytes,
-    gs_centers_run,
-    gs_nodes_run,
-)
-from stabledistrict.nnc import estimate_mutual_bytes, mutual_closest_run
+from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
+from stabledistrict.model import CENTER_BYTES, NODE_BYTES, PAIR_ENTRY_BYTES, check_table_memory
+from stabledistrict.nnc import mutual_closest_run
 
 from helpers import path_graph, random_dimacs_instance, random_grid_instance, random_sparse_instance
 
@@ -121,15 +116,16 @@ def test_both_variants_agree_and_are_stable(seed):
 
 
 def test_memory_estimate_and_refusal():
-    expected = 100 * 8 * PAIR_ENTRY_BYTES + (100 + 4 * 8) * ROW_BYTES
-    assert estimate_preference_bytes(100, 8) == expected
+    expected = 100 * 8 * PAIR_ENTRY_BYTES + 100 * NODE_BYTES + 8 * CENTER_BYTES
+    assert check_table_memory("gale-shapley", 100, 8, None) == expected
     inst = random_grid_instance(3)
     n, k = inst.graph.node_count, inst.k
-    tight = estimate_preference_bytes(n, k)
+    tight = check_table_memory("gale-shapley", n, k, None)
     build_preferences(inst, memory_cap_bytes=tight)  # exactly at the cap is allowed
     with pytest.raises(MemoryCapExceeded) as err:
         build_preferences(inst, memory_cap_bytes=tight - 1)
-    assert err.value.required_bytes == tight
+    assert err.value.algorithm == "gale-shapley"
+    assert err.value.required_bytes == tight and err.value.cap_bytes == tight - 1
     build_preferences(inst, memory_cap_bytes=None)  # override disables the cap
 
 
@@ -163,13 +159,15 @@ def _build_and_read_both_sides(inst, first, second):
 
 
 def test_memory_estimates_cover_traced_peaks():
-    # The caps refuse a run by these estimates, so they must bound what the
-    # run really allocates, or a run under the cap can still die mid-way.
-    # The 32x32 k=64 and 64x64 k=8 jitter-7 grids have the shapes of the
-    # many-centers and ingest benchmark workloads, 50x50 k=32 that of the
-    # road one; at k=8 the per-node lists outweigh the per-pair terms.
+    # The caps refuse a run by this one estimate, so it must bound what
+    # both table solvers really allocate, or a run under the cap can still
+    # die mid-way. The 32x32 k=64 and 64x64 k=8 jitter-7 grids have the
+    # shapes of the many-centers and ingest benchmark workloads, 50x50 k=32
+    # that of the road one; at k=1 and k=2 the per-node terms (one-center
+    # preference arrays, one row's ranking scratch) outweigh the per-pair
+    # ones.
     grids = []
-    for side, k in ((32, 64), (64, 8), (50, 32)):
+    for side, k in ((32, 64), (64, 8), (50, 32), (32, 1), (32, 2), (64, 1), (64, 2)):
         g = generate_grid(side, side, jitter_seed=7)
         n = g.node_count
         inst = Instance(g, sample_centers(n, k, derive_seed(1, k, 0)), equal_quotas(n, k))
@@ -177,8 +175,9 @@ def test_memory_estimates_cover_traced_peaks():
     sparse = [(random_sparse_instance(s, max_n=200), FIXED_CALL_BYTES) for s in range(20)]
     for inst, slack in grids + sparse:
         n, k = inst.graph.node_count, inst.k
+        bound = check_table_memory("any", n, k, None) + slack
         for sides in (("center_prefs", "node_prefs"), ("node_prefs", "center_prefs")):
             gs_peak = _traced_peak(lambda: _build_and_read_both_sides(inst, *sides))
-            assert gs_peak <= estimate_preference_bytes(n, k) + slack, (n, k, sides, gs_peak)
-        mutual_peak = _traced_peak(lambda: mutual_closest_run(inst))
-        assert mutual_peak <= estimate_mutual_bytes(n, k) + slack, (n, k, mutual_peak)
+            assert gs_peak <= bound, (n, k, sides, gs_peak)
+        mutual_peak = _traced_peak(lambda: mutual_closest_run(inst, memory_cap_bytes=None))
+        assert mutual_peak <= bound, (n, k, mutual_peak)

@@ -13,11 +13,13 @@ from stabledistrict import (
 )
 from stabledistrict.bench import SplitMix64
 from stabledistrict.circle import circle_growing_run
+from stabledistrict.model import check_table_memory
 from stabledistrict.nnc import mutual_closest_run, nnc_run
 
 from helpers import (
     acceptance_grid_instance,
     check_mutual_closest_steps,
+    mutual_match_order,
     path_graph,
     random_grid_instance,
     random_sparse_instance,
@@ -136,7 +138,7 @@ def test_empty_oracle_aborts_while_nodes_are_unmatched():
 
 def test_mutual_closest_match_order(p4):
     run = mutual_closest_run(p4)
-    assert run.order == [(0, 0), (1, 1), (2, 1), (3, 0)]
+    assert mutual_match_order(run.assignment) == [(0, 0), (1, 1), (2, 1), (3, 0)]
     assert run.assignment.match == [0, 1, 1, 0]
 
 
@@ -158,7 +160,7 @@ def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
             match, dist, order = reference_mutual_closest(inst)
             assert run.assignment.match == match
             assert run.assignment.dist == dist
-            assert run.order == order
+            assert mutual_match_order(run.assignment) == order
             # a full center's row leaves the merge, so each center pops
             # exactly its ball up to its worst member
             assert run.pops == circle_growing_run(inst).settled_total
@@ -168,13 +170,18 @@ def test_mutual_closest_pops_pairs_as_one_heap_of_all_pairs():
 def test_mutual_closest_output_is_stable_and_steps_check_out(seed):
     inst = random_sparse_instance(seed, max_n=25)
     run = mutual_closest_run(inst)
-    check_mutual_closest_steps(inst, run.order)
+    order = mutual_match_order(run.assignment)
+    check_mutual_closest_steps(inst, order)
     assert verify_stable(inst, run.assignment, compute_center_distances(inst)) is None
-    assert len(run.order) == inst.graph.node_count
+    assert len(order) == inst.graph.node_count
 
 
 def test_mutual_closest_memory_cap(p6):
     from stabledistrict import MemoryCapExceeded
 
-    with pytest.raises(MemoryCapExceeded):
-        mutual_closest_run(p6, memory_cap_bytes=4)
+    tight = check_table_memory("mutual", p6.graph.node_count, p6.k, None)
+    mutual_closest_run(p6, memory_cap_bytes=tight)  # exactly at the cap is allowed
+    with pytest.raises(MemoryCapExceeded) as err:
+        mutual_closest_run(p6, memory_cap_bytes=tight - 1)
+    assert err.value.algorithm == "mutual" and err.value.required_bytes == tight
+    mutual_closest_run(p6, memory_cap_bytes=None)  # override disables the cap
