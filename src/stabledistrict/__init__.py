@@ -13,7 +13,6 @@ reference.
 
 from .bench import (
     BenchConfig,
-    BenchRecord,
     SplitMix64,
     assignment_digest,
     generate_grid,
@@ -22,8 +21,8 @@ from .bench import (
     solve,
     write_csv,
 )
-from .circle import CircleRun, circle_growing_run
-from .gale_shapley import PreferenceTables, build_preferences
+from .circle import circle_growing_run
+from .gale_shapley import build_preferences
 from .graph import (
     GraphError,
     ParseError,
@@ -53,41 +52,28 @@ from .model import (
     parse_assignment_tsv,
     verify_stable,
 )
-from .nnc import (
-    DnnOracle,
-    NncRun,
-    OracleError,
-    fast_oracle_factory,
-    mutual_closest_run,
-    nnc_run,
-)
-from .render import PALETTE, SvgOptions, render_geojson, render_svg
+from .nnc import OracleError, fast_oracle_factory, mutual_closest_run, nnc_run
+from .render import PALETTE, render_geojson, render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
     "BenchConfig",
-    "BenchRecord",
     "BlockingPair",
-    "CircleRun",
     "DEFAULT_MEMORY_CAP_BYTES",
     "DistanceMismatch",
-    "DnnOracle",
     "GraphError",
     "Instance",
     "InstanceError",
     "MemoryCapExceeded",
-    "NncRun",
     "OracleError",
     "PALETTE",
     "ParseError",
-    "PreferenceTables",
     "QuotaViolation",
     "RoadGraph",
     "Score",
     "SplitMix64",
-    "SvgOptions",
     "assignment_digest",
     "assignment_summary",
     "assignment_summary_json",

@@ -18,6 +18,8 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
+from itertools import chain
+from typing import Iterator
 
 from . import bench as bench_mod
 from .graph import GraphError, RoadGraph, largest_component, parse_dimacs, parse_tsv, write_tsv
@@ -51,6 +53,21 @@ def _grid(args) -> RoadGraph:
     return bench_mod.generate_grid(width, height, args.jitter_seed)
 
 
+def _text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file; a decode error names the file. Lines
+    are read 64 KiB at a time, so the check costs nothing per line."""
+
+    def chunks() -> Iterator[list[str]]:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                while chunk := fh.readlines(1 << 16):
+                    yield chunk
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+
+    return chain.from_iterable(chunks())
+
+
 def _load_graph(args) -> RoadGraph:
     """The graph a command names: bench's --grid, or the graph file beside
     its optional .co file; --largest-component trims it and says so on stderr."""
@@ -59,15 +76,10 @@ def _load_graph(args) -> RoadGraph:
         g = _grid(args)
     elif co is not None and not args.graph.endswith(".gr"):
         raise ValueError(f"coordinate file {co} needs a DIMACS .gr graph, not {args.graph}")
+    elif not args.graph.endswith(".gr"):
+        g = parse_tsv(_text_lines(args.graph))
     else:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            if not args.graph.endswith(".gr"):
-                g = parse_tsv(fh)
-            elif co:
-                with open(co, "r", encoding="utf-8") as co_fh:
-                    g = parse_dimacs(fh, co_fh)
-            else:
-                g = parse_dimacs(fh)
+        g = parse_dimacs(_text_lines(args.graph), _text_lines(co) if co else None)
     if getattr(args, "largest_component", False):
         trimmed = largest_component(g)
         if trimmed.node_count != g.node_count:
@@ -82,15 +94,14 @@ def _load_graph(args) -> RoadGraph:
 
 def _read_int_lines(path: str) -> list[int]:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
+    for line_no, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
     return values
 
 
@@ -184,8 +195,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_instance(args)
     g, centers = inst.graph, inst.centers
-    with open(args.assignment, "r", encoding="utf-8") as fh:
-        assignment = parse_assignment_tsv(fh.read(), g, centers)
+    assignment = parse_assignment_tsv("".join(_text_lines(args.assignment)), g, centers)
     verdict = verify_stable(inst, assignment, member_ball_distances(inst, assignment))
     if verdict is None:
         print("STABLE")
@@ -241,8 +251,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     g = _load_graph(args)
-    with open(args.assignment, "r", encoding="utf-8") as fh:
-        rows = read_assignment_rows(fh.read())
+    rows = read_assignment_rows("".join(_text_lines(args.assignment)))
     # Reconstruct the instance from the assignment itself: centers are the
     # distinct assigned center ids (ascending), quotas their member counts.
     members = dict(sorted(Counter(center_id for _, _, center_id, _ in rows).items()))
@@ -260,7 +269,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _write_text(args.output, write_tsv(_grid(args)))
+    g = _grid(args)
+    if not all(g.adjacency):
+        raise ValueError(f"grid {args.grid} has a node without edges, which a TSV edge list cannot express")
+    _write_text(args.output, write_tsv(g))
     return 0
 
 

@@ -83,8 +83,8 @@ class RoadGraph:
 
         ``node_ids`` optionally declares the full node universe (isolated
         nodes included); otherwise the universe is the set of edge endpoints.
-        Self-loops and nonpositive/nonfinite weights raise ValueError;
-        duplicate edges keep the minimum weight.
+        Self-loops, nonpositive/nonfinite weights and nonfinite coordinates
+        raise ValueError; duplicate edges keep the minimum weight.
         """
         best: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
@@ -109,6 +109,9 @@ class RoadGraph:
             unknown = coords.keys() - universe
             if unknown:
                 raise ValueError(f"coordinate for unknown node {min(unknown)}")
+            for orig, (x, y) in coords.items():
+                if not (-INF < x < INF and -INF < y < INF):
+                    raise ValueError(f"nonfinite coordinates ({x!r}, {y!r}) for node {orig}")
         return cls._build(best, ids, None if coords is None else [coords[orig] for orig in ids])
 
     @classmethod
@@ -150,7 +153,7 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
     Recognized `.gr` lines: `c ...` comments, one `p sp <n> <m>` header,
     and `a <u> <v> <w>` arcs with 1-based node ids. Arcs are symmetrized
     and duplicates collapse to the minimum weight. `.co` lines are
-    `v <id> <x> <y>`; when given, every node must receive a coordinate.
+    `v <id> <x> <y>`; when given, every node must receive a finite coordinate.
     Without a `.co` file the header may declare at most 2a + 1 nodes for a arcs.
     """
     n_declared: int | None = None
@@ -213,6 +216,8 @@ def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> list[tupl
             node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
         except ValueError:
             raise ParseError("malformed coordinate fields", line_no) from None
+        if not (-INF < x < INF and -INF < y < INF):
+            raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
         if not 1 <= node <= n_declared:
             raise ParseError(f"coordinate for unknown node {node}", line_no)
         if node in coords:
@@ -228,7 +233,8 @@ def parse_tsv(stream: IO[str] | str) -> RoadGraph:
 
     Lines starting with `#node` declare coordinates (`#node <id> <x> <y>`)
     and may appear anywhere; other `#` lines are comments. Normalization
-    matches parse_dimacs; coordinates, when present, must cover every node.
+    matches parse_dimacs; coordinates, when present, must be finite and cover
+    every node.
     """
     best: dict[tuple[int, int], float] = {}
     coord_lines: list[tuple[int, int, tuple[float, float]]] = []
@@ -241,9 +247,12 @@ def parse_tsv(stream: IO[str] | str) -> RoadGraph:
             if len(tokens) != 4:
                 raise ParseError("malformed coordinate line (expected '#node <id> <x> <y>')", line_no)
             try:
-                coord_lines.append((line_no, int(tokens[1]), (float(tokens[2]), float(tokens[3]))))
+                node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise ParseError("malformed coordinate fields", line_no) from None
+            if not (-INF < x < INF and -INF < y < INF):
+                raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
+            coord_lines.append((line_no, node, (x, y)))
             continue
         if len(tokens) != 3:
             raise ParseError("malformed edge line (expected 'u v w')", line_no)

@@ -35,13 +35,13 @@ class OracleError(RuntimeError):
 class DnnOracle(Protocol):
     """Dynamic nearest-neighbor interface over the centers.
 
-    ``nearest(q)`` returns ``(score, center index)`` for the active center
-    minimizing the Score against node ``q``, or None if no center is
-    active. ``remove(x)`` deactivates center index ``x``; a removed center
-    is never returned again.
+    ``nearest(q)`` returns the Score of node ``q`` against the active
+    center minimizing it (its center index is ``score.center``), or None
+    if no center is active. ``remove(x)`` deactivates center index ``x``;
+    a removed center is never returned again.
     """
 
-    def nearest(self, q: int) -> tuple[Score, int] | None: ...
+    def nearest(self, q: int) -> Score | None: ...
 
     def remove(self, x: int) -> None: ...
 
@@ -80,14 +80,14 @@ class _CenterLabelOracle:
             heap.append((0.0, ci, v))
         self._grow(heap, range(n))
 
-    def nearest(self, q: int) -> tuple[Score, int] | None:
+    def nearest(self, q: int) -> Score | None:
         if self._alive == 0:
             return None
         ci = self._lab_c[q]
         if not self._active[ci]:
             self._repair()
             ci = self._lab_c[q]
-        return Score(self._lab_d[q], q, ci), ci
+        return Score(self._lab_d[q], q, ci)
 
     def remove(self, x: int) -> None:
         if self._active[x]:
@@ -183,10 +183,10 @@ def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncR
     n = inst.graph.node_count
     heap: list[Score] = []
     for u in range(n):
-        found = oracle.nearest(u)
-        if found is None:
+        score = oracle.nearest(u)
+        if score is None:
             raise OracleError("centers-side oracle empty while nodes are unmatched")
-        heap.append(found[0])
+        heap.append(score)
     heapify(heap)
     match = [-1] * n
     dist_out = [0.0] * n
@@ -204,13 +204,12 @@ def nnc_run(inst: Instance, oracle_factory: OracleFactory | None = None) -> NncR
                 oracle.remove(ci)
                 updates += 1
             continue
-        found = oracle.nearest(u)
+        score = oracle.nearest(u)
         queries += 1
-        if found is None:
+        if score is None:
             raise OracleError("centers-side oracle empty while nodes are unmatched")
-        score, ci = found
-        if remaining[ci] <= 0:
-            raise OracleError(f"centers-side oracle returned exhausted center {ci}")
+        if remaining[score.center] <= 0:
+            raise OracleError(f"centers-side oracle returned exhausted center {score.center}")
         heapreplace(heap, score)
     return NncRun(
         assignment=Assignment(match=match, dist=dist_out),

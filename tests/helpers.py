@@ -32,7 +32,7 @@ from stabledistrict.circle import CircleRun
 from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
 from stabledistrict.graph import _lines, require_settles_in_order, settle_stream
 from stabledistrict.nnc import DnnOracle, Side
-from stabledistrict.render import BOUNDARY_COLOR, SvgOptions, district_color
+from stabledistrict.render import BOUNDARY_COLOR, district_color
 
 
 def path_graph(n: int, weights: list[float] | None = None) -> RoadGraph:
@@ -530,20 +530,20 @@ def check_mutual_closest_steps(inst: Instance, order: list[tuple[int, int]]) -> 
         remaining[c] -= 1
 
 
-def reference_render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None = None) -> str:
+def reference_render_svg(inst: Instance, a: Assignment) -> str:
     """The SVG map drawn edge by edge, each endpoint scaled and formatted
-    where it is used; render_svg must match it byte for byte."""
+    where it is used, 1000 units wide with a 2% margin, 2-unit edges and
+    6-unit markers; render_svg must match it byte for byte."""
     g = inst.graph
-    if opts is None:
-        opts = SvgOptions()
+    width, edge_width, marker_radius = 1000.0, 2.0, 6.0
     xs = [p[0] for p in g.coords]
     ys = [p[1] for p in g.coords]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span_x = max_x - min_x or 1.0
     span_y = max_y - min_y or 1.0
-    margin = opts.width * opts.margin_frac
-    scale = (opts.width - 2.0 * margin) / span_x
+    margin = width * 0.02
+    scale = (width - 2.0 * margin) / span_x
     height = span_y * scale + 2.0 * margin
 
     def fmt(value: float) -> str:
@@ -570,15 +570,13 @@ def reference_render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None 
                 boundary.append(d)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {fmt(opts.width)} {fmt(height)}"'
-        f' width="{fmt(opts.width)}" height="{fmt(height)}">',
-        f'<g fill="none" stroke-width="{fmt(opts.edge_width)}" stroke-linecap="round">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {fmt(width)} {fmt(height)}"'
+        f' width="{fmt(width)}" height="{fmt(height)}">',
+        f'<g fill="none" stroke-width="{fmt(edge_width)}" stroke-linecap="round">',
     ]
     for c in range(inst.k):
         if c in segments:
-            lines.append(
-                f'<path stroke="{district_color(c, opts.palette)}" d="{" ".join(segments[c])}"/>'
-            )
+            lines.append(f'<path stroke="{district_color(c)}" d="{" ".join(segments[c])}"/>')
     if boundary:
         lines.append(f'<path stroke="{BOUNDARY_COLOR}" d="{" ".join(boundary)}"/>')
     lines.append("</g>")
@@ -586,8 +584,8 @@ def reference_render_svg(inst: Instance, a: Assignment, opts: SvgOptions | None 
     for c, center_node in enumerate(inst.centers):
         x, y = g.coords[center_node]
         lines.append(
-            f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="{fmt(opts.marker_radius)}"'
-            f' fill="{district_color(c, opts.palette)}"/>'
+            f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="{fmt(marker_radius)}"'
+            f' fill="{district_color(c)}"/>'
         )
     lines.append("</g>")
     lines.append("</svg>")
@@ -644,7 +642,7 @@ class _TruncatedCenterOracle:
         self._active = [True] * inst.k
         self._alive = inst.k
 
-    def nearest(self, q: int) -> tuple[Score, int] | None:
+    def nearest(self, q: int) -> Score | None:
         if self._alive == 0:
             return None
         dist = {q: 0.0}
@@ -671,7 +669,7 @@ class _TruncatedCenterOracle:
                     heappush(heap, (nd, nb))
         if found_d is None:
             return None
-        return Score(found_d, q, found_ci), found_ci
+        return Score(found_d, q, found_ci)
 
     def remove(self, x: int) -> None:
         if self._active[x]:

@@ -166,6 +166,62 @@ def test_a_bad_integer_line_names_its_file_and_line(grid_tsv, tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {bad} line 4: expected an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("which", ["graph", "co", "centers", "quotas", "verify-assignment", "render-assignment"])
+def test_an_undecodable_input_is_named_by_its_path(tmp_path, capsys, which):
+    gr, co = tmp_path / "g.gr", tmp_path / "g.co"
+    gr.write_text("p sp 3 2\na 1 2 1\na 2 3 1\n")
+    co.write_text("v 1 0 0\nv 2 1 0\nv 3 2 0\n")
+    centers, quotas, assignment = tmp_path / "c.txt", tmp_path / "q.txt", tmp_path / "a.tsv"
+    centers.write_text("2\n")
+    quotas.write_text("3\n")
+    instance = ["--centers", str(centers), "--quotas", str(quotas), str(gr), str(co)]
+    assert run(["solve", "--algo", "circle", "-o", str(assignment)] + instance) == 0
+    argv = {
+        "verify-assignment": ["verify", "--assignment", str(assignment)] + instance,
+        "render-assignment": ["render", "--assignment", str(assignment), "-o", str(tmp_path / "m.svg"), str(gr), str(co)],
+    }.get(which, ["solve", "--algo", "circle"] + instance)
+    bad = {"graph": gr, "co": co, "centers": centers, "quotas": quotas}.get(which, assignment)
+    bad.write_bytes(b"\xff\xfe\x00")
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert not (tmp_path / "m.svg").exists()
+
+
+@pytest.mark.parametrize("files, output, message", [
+    ({"g.tsv": "0\t1\t1.0\n1\t2\t1.0\n#node 0 nan 0\n#node 1 1 0\n#node 2 2 0\n"}, "m.svg",
+     "line 3: nonfinite coordinates nan 0"),
+    ({"g.tsv": "0\t1\t1.0\n1\t2\t1.0\n#node 0 0 0\n#node 1 1 inf\n#node 2 2 0\n"}, "m.geojson",
+     "line 4: nonfinite coordinates 1 inf"),
+    ({"g.gr": "p sp 3 2\na 1 2 1\na 2 3 1\n", "g.co": "v 1 nan 0\nv 2 1 0\nv 3 2 0\n"}, "m.svg",
+     "line 1: nonfinite coordinates nan 0"),
+], ids=["tsv-nan-svg", "tsv-inf-geojson", "dimacs-nan-svg"])
+def test_render_refuses_a_nonfinite_coordinate(tmp_path, capsys, files, output, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    lo = 0 if "g.tsv" in files else 1  # the first node id: 0 in these TSVs, 1 in DIMACS
+    assignment = tmp_path / "a.tsv"
+    assignment.write_text("".join(f"{lo + i}\t{lo + 1}\t{abs(i - 1)}.0\n" for i in range(3)))
+    graph = [str(tmp_path / name) for name in files]
+    assert run(["render", "--assignment", str(assignment), "-o", str(tmp_path / output)] + graph) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / output).exists()
+
+
+def test_generate_refuses_a_grid_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "one.tsv"
+    message = "error: grid 1x1 has a node without edges, which a TSV edge list cannot express\n"
+    assert run(["generate", "--grid", "1x1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert run(["generate", "--grid", "1x1"]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert run(["bench", "--grid", "1x1", "--k", "1", "--runs", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5
+
+
 def test_unwritable_solve_output_fails_before_the_solve(grid_tsv, tmp_path, capsys, monkeypatch):
     solves = []
     monkeypatch.setattr(cli.bench_mod, "solve", lambda *args, **kw: solves.append(args))

@@ -111,6 +111,18 @@ def test_parse_dimacs_incomplete_coordinates():
         parse_dimacs(DIMACS_SMALL, "v 1 0 0\n")
 
 
+@pytest.mark.parametrize("co, fragment, line", [
+    ("v 1 nan 0\nv 2 0 0\nv 3 0 0\n", "nonfinite coordinates nan 0", 1),
+    ("c coords\nv 1 0 0\nv 2 0 inf\nv 3 0 0\n", "nonfinite coordinates 0 inf", 3),
+    ("v 1 0 0\nv 2 0 0\nv 3 -inf -inf\n", "nonfinite coordinates -inf -inf", 3),
+])
+def test_parse_dimacs_rejects_nonfinite_coordinates(co, fragment, line):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(DIMACS_SMALL, co)
+    assert str(err.value) == f"line {line}: {fragment}"
+    assert err.value.line == line
+
+
 def test_parse_tsv_path():
     g = parse_tsv("1\t2\t1.0\n2\t3\t1.0\n")
     assert g.node_count == 3
@@ -166,6 +178,9 @@ def test_parse_tsv_coordinate_errors():
         ("1 2 -inf\n", "nonpositive weight -inf", 1),
         ("#node 1 0\n1 2 1\n", "malformed coordinate line", 1),
         ("1 2 1\n#node 1 0 y\n", "malformed coordinate fields", 2),
+        ("1 2 1\n#node 1 nan 0\n#node 2 0 0\n", "nonfinite coordinates nan 0", 2),
+        ("#node 1 0 inf\n1 2 1\n#node 2 0 0\n", "nonfinite coordinates 0 inf", 1),
+        ("1 2 1\n#node 1 0 0\n#node 2 -inf NaN\n", "nonfinite coordinates -inf NaN", 3),
         ("1 2 1\n#node 1 0 0\n#node 7 0 0\n", "coordinate for unknown node 7", 3),
         ("1 2 1\n#node 1 0 0\n#node 1 1 1\n#node 2 0 0\n", "duplicate coordinate for node 1", 3),
         ("1 2 1\n#node 2 0 0\n2 3 1\n", "node 1 has no coordinate", None),
@@ -504,6 +519,12 @@ def test_from_edges_rejects_bad_weights():
         RoadGraph.from_edges([(0, 1, math.inf)])
     with pytest.raises(ValueError, match="self-loop"):
         RoadGraph.from_edges([(2, 2, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_from_edges_rejects_nonfinite_coordinates(bad):
+    with pytest.raises(ValueError, match=r"nonfinite coordinates .* for node 1$"):
+        RoadGraph.from_edges([(0, 1, 1.0)], coords={0: (0.0, 0.0), 1: bad})
 
 
 def test_from_edges_dense_ids_follow_sorted_originals():

@@ -30,9 +30,9 @@ from helpers import (
 
 def test_truncated_center_oracle_basics(p6):
     oracle = truncated_dijkstra_oracle(p6, "centers")
-    assert oracle.nearest(1) == (Score(1.0, 1, 0), 0)
+    assert oracle.nearest(1) == Score(1.0, 1, 0)
     oracle.remove(0)
-    assert oracle.nearest(1) == (Score(4.0, 1, 1), 1)
+    assert oracle.nearest(1) == Score(4.0, 1, 1)
     oracle.remove(1)
     assert oracle.nearest(1) is None
 
@@ -44,8 +44,7 @@ def test_center_oracle_tie_prefers_lower_center_index():
     inst = Instance(g, [3, 1], [3, 2])
     for factory in (truncated_dijkstra_oracle, fast_oracle_factory):
         oracle = factory(inst, "centers")
-        score, ci = oracle.nearest(2)
-        assert (score, ci) == (Score(1.0, 2, 0), 0)
+        assert oracle.nearest(2) == Score(1.0, 2, 0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -122,7 +121,7 @@ _STALE_LABELS = Instance(path_graph(5), [1, 3], [1, 4])
 def test_broken_oracle_aborts():
     # keeps naming the full center, so a loop that re-queries would spin
     def factory(inst, side):
-        return _MisbehavingOracle(inst, lambda q, c: (Score(0.0, q, c), c))
+        return _MisbehavingOracle(inst, lambda q, c: Score(0.0, q, c))
 
     with pytest.raises(OracleError, match="exhausted center"):
         nnc_run(_STALE_LABELS, factory)

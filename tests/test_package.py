@@ -1,14 +1,21 @@
 """Package-level promises: the README's library example runs as written,
-and the package imports nothing outside the standard library."""
+the package root exports what its callers use, and the package imports
+nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import stabledistrict
+from stabledistrict import render_svg
+from stabledistrict.render import district_color
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(stabledistrict.__file__).parent
@@ -29,3 +36,29 @@ def test_the_package_imports_only_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def test_every_root_export_resolves():
+    assert len(set(stabledistrict.__all__)) == len(stabledistrict.__all__)
+    for name in stabledistrict.__all__:
+        assert getattr(stabledistrict, name) is not None, name
+
+
+@pytest.mark.parametrize("module, name", [
+    ("bench", "BenchRecord"),
+    ("circle", "CircleRun"),
+    ("nnc", "DnnOracle"),
+    ("nnc", "NncRun"),
+    ("gale_shapley", "PreferenceTables"),
+])
+def test_per_solver_types_live_in_their_modules_only(module, name):
+    assert name not in stabledistrict.__all__
+    assert not hasattr(stabledistrict, name)
+    assert hasattr(importlib.import_module(f"stabledistrict.{module}"), name)
+
+
+def test_maps_are_drawn_at_one_fixed_geometry():
+    assert list(inspect.signature(render_svg).parameters) == ["inst", "a"]
+    assert list(inspect.signature(district_color).parameters) == ["center_index"]
+    assert not hasattr(stabledistrict, "SvgOptions")
+    assert not hasattr(stabledistrict.render, "SvgOptions")

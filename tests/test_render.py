@@ -14,7 +14,7 @@ from stabledistrict import (
     solve,
 )
 from stabledistrict.bench import SplitMix64, generate_grid, sample_centers
-from stabledistrict.render import PALETTE, SvgOptions, district_color
+from stabledistrict.render import PALETTE, district_color
 
 from helpers import random_grid_instance, reference_render_svg
 
@@ -72,13 +72,6 @@ def test_svg_requires_coordinates(p6):
         render_svg(p6, solve(p6, "mutual")[0])
 
 
-def test_svg_options_control_size():
-    g = _p3_with_coords()
-    inst = Instance(g, [1], [3])
-    svg = render_svg(inst, solve(inst, "mutual")[0], SvgOptions(width=500.0))
-    assert 'viewBox="0 0 500.00' in svg
-
-
 def test_svg_bytes_match_the_edge_by_edge_reference():
     for seed in range(60):
         inst = random_grid_instance(seed)
@@ -105,19 +98,12 @@ def _dimacs_with_coordinates(w: int, h: int, seed: int) -> tuple[str, str]:
     return gr, co
 
 
-def test_svg_bytes_match_the_reference_on_dimacs_coordinates_and_options():
+def test_svg_bytes_match_the_reference_on_dimacs_coordinates():
     gr, co = _dimacs_with_coordinates(9, 7, 3)
     g = parse_dimacs(gr, co)
     inst = Instance(g, sample_centers(g.node_count, 5, 11), equal_quotas(g.node_count, 5))
     a = solve(inst, "circle")[0]
     assert render_svg(inst, a) == reference_render_svg(inst, a)
-    opts = SvgOptions(
-        width=640.0, margin_frac=0.05, edge_width=1.5, marker_radius=3.25,
-        palette=("#112233", "#445566", "#778899"),
-    )
-    svg = render_svg(inst, a, opts)
-    assert svg == reference_render_svg(inst, a, opts)
-    assert 'viewBox="0 0 640.00' in svg and 'r="3.25"' in svg
 
 
 def test_palette_has_enough_distinct_colors():
