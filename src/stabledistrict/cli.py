@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = bench_mod.BenchConfig(
-        k_values=tuple(int(x) for x in args.k.split(",")),
+        k_values=args.k,
         runs=args.runs,
         seed=args.seed,
         algorithms=tuple(args.algos.split(",")),
@@ -302,6 +302,13 @@ def _byte_count(text: str) -> int:
     return int(text)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_memory_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument(
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("graph", nargs="?", default=None, help="graph file")
     p_bench.add_argument("--grid", default=None, metavar="WxH", help="use a generated grid instead")
     p_bench.add_argument("--jitter-seed", type=int, default=None, help="jitter grid weights")
-    p_bench.add_argument("--k", required=True, help="comma-separated center counts")
+    p_bench.add_argument("--k", required=True, type=_int_list, help="comma-separated center counts")
     p_bench.add_argument("--runs", type=int, default=10, help="center sets per k (default 10)")
     p_bench.add_argument(
         "--algos", default=",".join(bench_mod.ALGORITHM_NAMES),

@@ -1,15 +1,14 @@
 """Deferred-acceptance solvers over fully materialized preference tables.
 
-Both variants read a k x n score table from one shortest-path pass per
-center, so memory is Theta(n*k). The searches run on the table's first
-read, and each side's preference lists are sorted from the table on first
-use: the center-proposing run reads only the centers' lists and the
-node-proposing run only the nodes', so neither pays for the other side's.
-Because the table is a real failure mode on large inputs,
-``build_preferences`` refuses up front (raising ``MemoryCapExceeded``)
-when ``model.check_table_memory``, which prices both sides' lists, puts
-the table over a configurable byte budget, instead of crashing mid-run;
-pass ``memory_cap_bytes=None`` to override.
+Both variants read a k x n table of 8-byte distances, one ``array("d")``
+per center filled by that center's shortest-path search, so memory is
+Theta(n*k). The searches run on the table's first read, and each side's
+preference lists are sorted from the table on first use: the
+center-proposing run reads only the centers' lists and the node-proposing
+run only the nodes'. ``build_preferences`` refuses up front (raising
+``MemoryCapExceeded``) when ``model.check_table_memory`` puts the table over
+a byte budget, instead of crashing mid-run; pass ``memory_cap_bytes=None``
+to override.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class PreferenceTables:
 
     @cached_property
     def dist(self) -> list[array]:
-        return _distance_arrays(compute_center_distances(self.inst))
+        return compute_center_distances(self.inst)
 
     @cached_property
     def center_prefs(self) -> list[array]:
@@ -54,14 +53,6 @@ class PreferenceTables:
     def node_prefs(self) -> list[array]:
         centers = range(len(self.dist))
         return [array("i", sorted(centers, key=column.__getitem__)) for column in zip(*self.dist)]
-
-
-def _distance_arrays(rows: list[list[float]]) -> list[array]:
-    dist = []
-    for c, row in enumerate(rows):
-        dist.append(array("d", row))
-        rows[c] = None  # free each boxed row once its array copy exists
-    return dist
 
 
 class GsRun(NamedTuple):

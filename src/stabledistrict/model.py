@@ -17,9 +17,9 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import le
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import RoadGraph, _lines, dijkstra, is_connected
+from .graph import INF, RoadGraph, _lines, dijkstra, is_connected
 
 
 class Score(NamedTuple):
@@ -53,16 +53,15 @@ class MemoryCapExceeded(RuntimeError):
 
 # Bytes held by a solver that materializes the k x n distance table:
 # Gale-Shapley's with both sides read, in either order, or the mutual-
-# closest reference. Per (center, node) pair: a row's 24-byte boxed float
-# and 8-byte list slot, and a 4-byte id in a ranked row (Gale-Shapley
-# frees each boxed row as it copies it into 8-byte array slots). Per node:
-# a one-center preference array (84 bytes) and its slot, which dominate
-# Gale-Shapley at small k, and one row's ranking scratch: a boxed index
-# and a boxed key with their slots. Per center: row, array and ranked-row
-# headers with their slots, a merge-heap entry, one node's column tuple.
-PAIR_ENTRY_BYTES = 36
-NODE_BYTES = 160
-CENTER_BYTES = 384
+# closest reference. Per (center, node) pair: an 8-byte slot in the
+# center's distance array and a 4-byte id in each side's ranked lists, and
+# one byte of headroom. Per node: the one boxed row alive while a search
+# runs, one row's ranking scratch (its boxed ``tolist()``, a boxed index
+# and a key slot) and a node's ranked-list header, which dominate at small k.
+# Per center: array headers with their slots and one column's boxed float.
+PAIR_ENTRY_BYTES = 17
+NODE_BYTES = 180
+CENTER_BYTES = 256
 DEFAULT_MEMORY_CAP_BYTES = 2 * 1024**3
 
 
@@ -156,16 +155,17 @@ class BlockingPair(NamedTuple):
     worst_dist: float
 
 
-def compute_center_distances(inst: Instance) -> list[list[float]]:
-    """One shortest-path row per center, in center order."""
-    return [dijkstra(inst.graph, c) for c in inst.centers]
+def compute_center_distances(inst: Instance) -> list[array]:
+    """One shortest-path row per center, in center order: an ``array("d")``
+    copied from each search as it ends, so one boxed row is alive at a time."""
+    return [array("d", dijkstra(inst.graph, c)) for c in inst.centers]
 
 
 def rank_rows(rows) -> list[array]:
-    """Each row's node ids in ``(dist, node)`` order, best first: a center's
-    preference list. A stable sort over the index range breaks distance ties
-    by node id."""
-    return [array("i", sorted(range(len(row)), key=row.__getitem__)) for row in rows]
+    """Each ``array("d")`` row's node ids in ``(dist, node)`` order, best first:
+    a center's preference list. A stable sort over the index range breaks ties
+    by node id; its keys index ``row.tolist()``, which is faster than the array."""
+    return [array("i", sorted(range(len(row)), key=row.tolist().__getitem__)) for row in rows]
 
 
 def _members_by_center(inst: Instance, a: Assignment) -> list[list[int]]:
@@ -201,7 +201,7 @@ def member_ball_distances(inst: Instance, a: Assignment) -> Iterator[list[float]
 
 
 def verify_stable(
-    inst: Instance, a: Assignment, dists: Iterable[list[float]]
+    inst: Instance, a: Assignment, dists: Iterable[Sequence[float]]
 ) -> QuotaViolation | DistanceMismatch | BlockingPair | None:
     """Check quotas, then each claimed distance, then search for a blocking
     pair; None means stable.
@@ -320,7 +320,7 @@ def assignment_summary_json(inst: Instance, a: Assignment) -> str:
 
 def read_assignment_rows(stream: IO[str] | str) -> list[tuple[int, int, int, float]]:
     """An assignment TSV's data rows as (row number, node id, center id, distance).
-    Raises ValueError naming a row that is not three numeric tab-separated fields."""
+    Raises ValueError naming a row that is not three tab-separated numbers with a finite distance."""
     rows = []
     for row_no, raw in enumerate(_lines(stream), start=1):
         line = raw.strip()
@@ -333,6 +333,8 @@ def read_assignment_rows(stream: IO[str] | str) -> list[tuple[int, int, int, flo
             rows.append((row_no, int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
             raise ValueError(f"assignment row {row_no}: malformed fields") from None
+        if not -INF < rows[-1][3] < INF:
+            raise ValueError(f"assignment row {row_no}: nonfinite distance {rows[-1][3]!r}")
     return rows
 
 

@@ -230,8 +230,8 @@ def mutual_closest_run(inst: Instance, *, memory_cap_bytes: int | None = DEFAULT
 
     The pair of minimum Score among (unmatched node, unfilled center)
     pairs is always a mutual closest pair, so matching it greedily yields
-    the unique stable solution. The full k x n distance table is
-    materialized, each center's row is ranked into (dist, node) order
+    the unique stable solution. The k x n table of distance arrays
+    (``compute_center_distances``) is held, each row is ranked by (dist, node)
     (``rank_rows``), and the k ranked rows are merged through a k-entry
     heap in Score order. Like Gale-Shapley, it refuses up front when
     ``model.check_table_memory`` puts the table over ``memory_cap_bytes``.

@@ -249,6 +249,9 @@ def reference_from_edges(edges, node_ids=None, coords=None) -> RoadGraph:
         unknown = coords.keys() - universe
         if unknown:
             raise ValueError(f"coordinate for unknown node {min(unknown)}")
+        for orig, (x, y) in coords.items():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"nonfinite coordinates ({x!r}, {y!r}) for node {orig}")
         dense_coords = [coords[orig] for orig in ids]
     return RoadGraph(
         node_count=len(ids),
@@ -321,6 +324,8 @@ def reference_parse_dimacs(gr_stream, co_stream=None) -> RoadGraph:
                 x, y = float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise ParseError("malformed coordinate fields", line_no) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
             if not 1 <= node <= n_declared:
                 raise ParseError(f"coordinate for unknown node {node}", line_no)
             if node in coords:
@@ -348,9 +353,12 @@ def reference_parse_tsv(stream) -> RoadGraph:
             if len(tokens) != 4:
                 raise ParseError("malformed coordinate line (expected '#node <id> <x> <y>')", line_no)
             try:
-                coord_lines.append((line_no, int(tokens[1]), float(tokens[2]), float(tokens[3])))
+                node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise ParseError("malformed coordinate fields", line_no) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
+            coord_lines.append((line_no, node, x, y))
             continue
         tokens = stripped.split()
         if len(tokens) != 3:

@@ -133,7 +133,7 @@ def test_run_bench_shares_center_sets_across_algorithms():
 
 
 def test_run_bench_records_memory_refusals():
-    cap = 10 * PAIR_ENTRY_BYTES  # far below the 36*4 pair entries needed
+    cap = 10 * PAIR_ENTRY_BYTES  # room for 10 of the 36 x 4 = 144 pairs the table needs
     cfg = BenchConfig(
         k_values=(4,),
         runs=1,

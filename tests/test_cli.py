@@ -383,6 +383,26 @@ def test_verify_checks_the_distance_column(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_nonfinite_distance_is_refused_by_its_row(grid_tsv, tmp_path, capsys, command, value):
+    # A NaN or infinite distance is unreadable input, not a mismatch to
+    # verify; render would otherwise write it into GeoJSON, which has no NaN.
+    out = tmp_path / "a.tsv"
+    instance = ["--random-centers", "3", "--seed", "5", str(grid_tsv)]
+    assert run(["solve", "--algo", "circle", "-o", str(out)] + instance) == 0
+    lines = out.read_text().splitlines()
+    lines[3] = "\t".join(lines[3].split("\t")[:2] + [value])
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    geojson = tmp_path / "m.geojson"
+    argv = {"verify": ["verify", "--assignment", str(out)] + instance,
+            "render": ["render", "--assignment", str(out), "-o", str(geojson), str(grid_tsv)]}[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: assignment row 4: nonfinite distance {value}\n"
+    assert not geojson.exists()
+
+
 def test_verify_id_mismatch_exits_1(grid_tsv, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("node_original_id\tcenter_original_id\tdistance\n99\t0\t0.0\n")
@@ -702,6 +722,14 @@ def test_usage_errors_print_one_error_line_and_exit_1(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["2,,3", "two"])
+def test_bench_k_is_checked_as_usage(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--grid", "4x4", "--k", k])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: argument --k: expected comma-separated integers, got '{k}'\n"
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--help"])
@@ -779,6 +807,8 @@ AUDIT_CASES = [
     ("bench-bad-edge", 1, {"x.tsv": "0 1 1\n1 2 one\n"}, ["bench", "--k", "2", "--runs", "1", "{d}/x.tsv"]),
     ("bench-disconnected", 2, {"x.tsv": "0 1 1\n2 3 1\n"}, ["bench", "--k", "2", "--runs", "1", "{d}/x.tsv"]),
     ("bench-k-zero", 1, {}, ["bench", "--grid", "3x3", "--k", "0", "--runs", "1"]),
+    ("bench-k-empty-item", 1, {}, ["bench", "--grid", "4x4", "--k", "2,,3", "--runs", "1"]),
+    ("bench-k-not-ints", 1, {}, ["bench", "--grid", "4x4", "--k", "two", "--runs", "1"]),
     ("bench-unknown-algorithm", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "--algos", "fastest"]),
     ("bench-jitter-seed-beside-a-graph", 1, {}, ["bench", "--k", "2", "--runs", "1", "--jitter-seed", "5", "{d}/g.tsv"]),
     ("verify-empty-assignment", 1, {"e.tsv": ""}, ["verify", "--assignment", "{d}/e.tsv", "--random-centers", "2", "{d}/g.tsv"]),

@@ -165,9 +165,9 @@ def test_memory_estimates_cover_traced_peaks():
     # shapes of the many-centers and ingest benchmark workloads, 50x50 k=32
     # that of the road one; at k=1 and k=2 the per-node terms (one-center
     # preference arrays, one row's ranking scratch) outweigh the per-pair
-    # ones.
+    # ones; at 16x16 with k = n = 256 the per-pair term is 91% of the bound.
     grids = []
-    for side, k in ((32, 64), (64, 8), (50, 32), (32, 1), (32, 2), (64, 1), (64, 2)):
+    for side, k in ((32, 64), (64, 8), (50, 32), (32, 1), (32, 2), (64, 1), (64, 2), (16, 256)):
         g = generate_grid(side, side, jitter_seed=7)
         n = g.node_count
         inst = Instance(g, sample_centers(n, k, derive_seed(1, k, 0)), equal_quotas(n, k))

@@ -254,6 +254,8 @@ TSV_FAULTS = [
     ("nonpositive weight", _put("0 {n} inf")),
     ("malformed coordinate line", _put("#node 0 1.0")),
     ("malformed coordinate fields", _put("#node 0 1.0 north")),
+    ("nonfinite coordinates", _put("#node 0 nan 1.0")),
+    ("nonfinite coordinates", _put("#node {n} 1.0 -inf")),
     ("coordinate for unknown node", _put("#node {n} 0 0")),
     ("duplicate coordinate", _repeat("#node ")),
     ("has no coordinate", _drop("#node ")),
@@ -282,6 +284,8 @@ CO_FAULTS = [
     ("malformed coordinate line", _put("v 1 0")),
     ("malformed coordinate line", _put("x 1 0 0")),
     ("malformed coordinate fields", _put("v 1 0 east")),
+    ("nonfinite coordinates", _put("v 1 inf 0")),
+    ("nonfinite coordinates", _put("v {n} 0 nan")),
     ("coordinate for unknown node", _put("v {above} 0 0")),
     ("duplicate coordinate", _repeat("v ")),
     ("has no coordinate", _drop("v ")),
@@ -367,6 +371,13 @@ def test_from_edges_matches_the_two_pass_reference():
         coords = None if g.coords is None else {spread(u): xy for u, xy in enumerate(g.coords)}
         for node_ids in (None, [spread(u) for u in range(g.node_count + 2)]):
             args = (edges, node_ids, coords if node_ids is None else None)
+            assert _load(RoadGraph.from_edges, args) == _load(reference_from_edges, args)
+        if coords:
+            # One coordinate made NaN or infinite, at a node the rng picks.
+            bad = dict(coords)
+            node = list(bad)[rng.next_below(len(bad))]
+            bad[node] = (math.nan, 0.0) if seed % 2 else (bad[node][0], -math.inf)
+            args = (edges, None, bad)
             assert _load(RoadGraph.from_edges, args) == _load(reference_from_edges, args)
 
 

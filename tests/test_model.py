@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -19,6 +21,7 @@ from stabledistrict import (
     assignment_to_tsv,
     RoadGraph,
     compute_center_distances,
+    dijkstra,
     equal_quotas,
     generate_grid,
     member_ball_distances,
@@ -33,6 +36,7 @@ from helpers import (
     acceptance_grid_instance,
     all_solver_outputs,
     brute_force_blocking_pairs,
+    helper_corpus,
     path_graph,
     random_dimacs_instance,
     random_float_instance,
@@ -131,13 +135,25 @@ def test_verify_stable_reports_quota_violation_first(p4):
     assert verdict == QuotaViolation(center=0, expected=2, actual=3)
 
 
+def test_center_distance_rows_are_float_arrays_equal_to_dijkstra_bit_for_bit():
+    # Each row is an 8-byte-per-node array("d") copied from its center's
+    # search; the copy must keep every bit of the search's row.
+    for name, seed, inst in helper_corpus():
+        rows = compute_center_distances(inst)
+        assert len(rows) == inst.k
+        for c, row in zip(inst.centers, rows):
+            assert type(row) is array and row.typecode == "d", (name, seed)
+            want = dijkstra(inst.graph, c)
+            assert row.tobytes() == struct.pack(f"{len(want)}d", *want), (name, seed, c)
+
+
 def test_verify_stable_rejects_rows_of_the_wrong_length(p4):
     dists = compute_center_distances(p4)
     a = Assignment(match=[0, 1, 1, 0], dist=[0.0, 0.0, 1.0, 2.0])
     short = [dists[0], dists[1][:-1]]
     with pytest.raises(ValueError, match="distance row 1 has 3 entries, expected 4"):
         verify_stable(p4, a, short)
-    long = [dists[0] + [0.0], dists[1]]
+    long = [list(dists[0]) + [0.0], dists[1]]
     with pytest.raises(ValueError, match="distance row 0 has 5 entries, expected 4"):
         verify_stable(p4, a, long)
 
@@ -296,7 +312,7 @@ def test_member_ball_distances_validates_like_verify_stable(p4):
     # A center with no members searches nothing; the quota check fires first.
     a = Assignment(match=[0, 0, 0, 0], dist=[0.0] * 4)
     rows = list(member_ball_distances(p4, a))
-    assert rows == [dists[0], [math.inf, 0.0, math.inf, math.inf]]
+    assert rows == [list(dists[0]), [math.inf, 0.0, math.inf, math.inf]]
     assert verify_stable(p4, a, rows) == QuotaViolation(center=0, expected=2, actual=4)
 
 
