@@ -161,10 +161,14 @@ class BenchRecord:
     digest: str
 
     def csv_row(self) -> str:
+        """One CSV line; a graph name holding , " CR or LF is quoted (RFC 4180)."""
+        graph = self.graph
+        if any(c in graph for c in ',"\r\n'):
+            graph = '"' + graph.replace('"', '""') + '"'
         time_field = f"{self.time_ms:.3f}" if self.time_ms is not None else ""
         work_field = str(self.work) if self.work is not None else ""
         return (
-            f"{self.graph},{self.n},{self.m},{self.k},{self.seed},"
+            f"{graph},{self.n},{self.m},{self.k},{self.seed},"
             f"{self.center_set},{self.algorithm},{time_field},{work_field},"
             f"{self.outcome},{self.digest}"
         )

@@ -17,7 +17,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappush, heapreplace
 from typing import NamedTuple
 
 from .model import (
@@ -122,8 +122,10 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     """Nodes propose down their lists; full centers bump their worst match.
 
     Each center tracks its least-preferred current member in a max-heap
-    keyed by Score (lazy deletion guards against stale tops). The bumped
-    node resumes proposing from where it left off.
+    keyed by Score. A node leaves that heap only when the center bumps it,
+    which pops it, and never proposes to the same center twice, so the top
+    is always a current member. The bumped node resumes proposing from
+    where it left off.
     """
     n = inst.graph.node_count
     dist = prefs.dist
@@ -150,17 +152,13 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
             heappush(worst[c], (-d, -u))
         else:
             heap = worst[c]
-            while heap and cur_center[-heap[0][1]] != c:
-                heappop(heap)  # stale entry
-            assert heap, "full center with empty member heap"
             wd, wu = -heap[0][0], -heap[0][1]
             if (d, u) < (wd, wu):
-                heappop(heap)
+                heapreplace(heap, (-d, -u))
                 cur_center[wu] = -1
                 free.append(wu)
                 cur_center[u] = c
                 cur_dist[u] = d
-                heappush(heap, (-d, -u))
             else:
                 free.append(u)
     return GsRun(Assignment(match=cur_center, dist=cur_dist), proposals)

@@ -4,8 +4,11 @@ Graphs are normalized at construction: arcs are symmetrized, parallel
 edges collapse to their minimum weight, self-loops are rejected, and node
 ids are remapped to a dense 0..n-1 range with the source-file ids kept in
 ``original_ids``. The parsers validate each line once and fold it straight
-into the edge map that ``RoadGraph.from_edges`` also builds; all three end
-in ``_build``. A constructed ``RoadGraph`` is treated as immutable and is
+into the edge map that ``RoadGraph.from_edges`` also builds. The three
+constructors share the coordinate rules: the parsers read each coordinate
+line with ``_coordinate``, all three check placement with
+``_place_coords`` once the whole input is read, and all three end in
+``_build``. A constructed ``RoadGraph`` is treated as immutable and is
 safe for concurrent reads. Its one cache, ``_weight_span``, is written
 whole and only with values that hold for the graph, so a reader that races
 a write at worst recomputes the weights or runs the heap once more, and
@@ -28,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 INF = math.inf
@@ -84,7 +87,8 @@ class RoadGraph:
         ``node_ids`` optionally declares the full node universe (isolated
         nodes included); otherwise the universe is the set of edge endpoints.
         Self-loops, nonpositive/nonfinite weights and nonfinite coordinates
-        raise ValueError; duplicate edges keep the minimum weight.
+        raise ValueError; duplicate edges keep the minimum weight. Then an
+        unknown node's coordinate, then a node without one, raise ParseError.
         """
         best: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
@@ -103,16 +107,11 @@ class RoadGraph:
             raise ValueError("edge endpoint outside the declared node set")
         ids = sorted(universe)
         if coords is not None:
-            missing = universe - coords.keys()
-            if missing:
-                raise ValueError(f"node {min(missing)} has no coordinate")
-            unknown = coords.keys() - universe
-            if unknown:
-                raise ValueError(f"coordinate for unknown node {min(unknown)}")
             for orig, (x, y) in coords.items():
                 if not (-INF < x < INF and -INF < y < INF):
                     raise ValueError(f"nonfinite coordinates ({x!r}, {y!r}) for node {orig}")
-        return cls._build(best, ids, None if coords is None else [coords[orig] for orig in ids])
+            coords = _place_coords(dict.fromkeys(ids), [(None, orig, coords[orig]) for orig in sorted(coords)])
+        return cls._build(best, ids, coords)
 
     @classmethod
     def _build(cls, best: dict[tuple[int, int], float], ids: list[int], coords) -> "RoadGraph":
@@ -145,6 +144,43 @@ class RoadGraph:
 
 def _lines(stream: IO[str] | str) -> Iterable[str]:
     return stream.splitlines() if isinstance(stream, str) else stream
+
+
+def _coordinate(tokens: list[str], line_no: int, tag: str) -> tuple[int, int, tuple[float, float]]:
+    """Read one coordinate line ``<tag> <id> <x> <y>``, already split into
+    ``tokens``, as ``(line_no, id, (x, y))``; the coordinates must be finite."""
+    if len(tokens) != 4 or tokens[0] != tag:
+        raise ParseError(f"malformed coordinate line (expected '{tag} <id> <x> <y>')", line_no)
+    try:
+        node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
+    except ValueError:
+        raise ParseError("malformed coordinate fields", line_no) from None
+    if not (-INF < x < INF and -INF < y < INF):
+        raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
+    return line_no, node, (x, y)
+
+
+def _place_coords(ids, coord_lines) -> list[tuple[float, float]]:
+    """Place ``(line_no, id, (x, y))`` coordinate lines on ``ids`` once the
+    whole input is read; return the coordinates in ``ids`` order.
+
+    ``ids`` iterates the sorted node ids and answers ``in`` in O(1) (a range
+    or a dict). An unknown or repeated id is reported at its line, in line
+    order, then the smallest id without a coordinate. Nothing of ``ids``'
+    size is built before every id is covered, so a DIMACS header declaring a
+    huge node count costs only its coordinate file's lines.
+    """
+    placed: dict[int, tuple[float, float]] = {}
+    for line_no, node, xy in coord_lines:
+        if node not in ids:
+            raise ParseError(f"coordinate for unknown node {node}", line_no)
+        if node in placed:
+            raise ParseError(f"duplicate coordinate for node {node}", line_no)
+        placed[node] = xy
+    try:
+        return [placed[v] for v in ids]
+    except KeyError as missing:
+        raise ParseError(f"node {missing.args[0]} has no coordinate") from None
 
 
 def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = None) -> RoadGraph:
@@ -200,32 +236,12 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
     if co_stream is None and n_declared > 2 * arcs + 1:
         raise ParseError(f"problem header declares {n_declared} nodes;"
                          f" {arcs} arc line(s) allow at most {2 * arcs + 1}", header_line)
-    coords = _parse_dimacs_coords(co_stream, n_declared) if co_stream is not None else None
-    return RoadGraph._build(best, list(range(1, n_declared + 1)), coords)
-
-
-def _parse_dimacs_coords(co_stream: IO[str] | str, n_declared: int) -> list[tuple[float, float]]:
-    coords: dict[int, tuple[float, float]] = {}
-    for line_no, raw in enumerate(_lines(co_stream), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c" or tokens[0] == "p":
-            continue
-        if tokens[0] != "v" or len(tokens) != 4:
-            raise ParseError("malformed coordinate line (expected 'v <id> <x> <y>')", line_no)
-        try:
-            node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
-        except ValueError:
-            raise ParseError("malformed coordinate fields", line_no) from None
-        if not (-INF < x < INF and -INF < y < INF):
-            raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
-        if not 1 <= node <= n_declared:
-            raise ParseError(f"coordinate for unknown node {node}", line_no)
-        if node in coords:
-            raise ParseError(f"duplicate coordinate for node {node}", line_no)
-        coords[node] = (x, y)
-    if len(coords) < n_declared:
-        raise ParseError(f"node {next(v for v in count(1) if v not in coords)} has no coordinate")
-    return [coords[v] for v in range(1, n_declared + 1)]
+    ids, coords = range(1, n_declared + 1), None
+    if co_stream is not None:
+        lines = enumerate(map(str.split, _lines(co_stream)), start=1)
+        coords = _place_coords(ids, [
+            _coordinate(tokens, line_no, "v") for line_no, tokens in lines if tokens and tokens[0] not in ("c", "p")])
+    return RoadGraph._build(best, list(ids), coords)
 
 
 def parse_tsv(stream: IO[str] | str) -> RoadGraph:
@@ -242,17 +258,8 @@ def parse_tsv(stream: IO[str] | str) -> RoadGraph:
         tokens = raw.split()
         head = tokens[0] if tokens else "#"
         if head[0] == "#":
-            if head != "#node":
-                continue
-            if len(tokens) != 4:
-                raise ParseError("malformed coordinate line (expected '#node <id> <x> <y>')", line_no)
-            try:
-                node, x, y = int(tokens[1]), float(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise ParseError("malformed coordinate fields", line_no) from None
-            if not (-INF < x < INF and -INF < y < INF):
-                raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
-            coord_lines.append((line_no, node, (x, y)))
+            if head == "#node":
+                coord_lines.append(_coordinate(tokens, line_no, head))
             continue
         if len(tokens) != 3:
             raise ParseError("malformed edge line (expected 'u v w')", line_no)
@@ -269,18 +276,8 @@ def parse_tsv(stream: IO[str] | str) -> RoadGraph:
             best[key] = w
     if not best:
         raise ParseError("empty graph: no edges")
-    known = set(chain.from_iterable(best))
-    coords: dict[int, tuple[float, float]] = {}
-    for line_no, node, xy in coord_lines:
-        if node not in known:
-            raise ParseError(f"coordinate for unknown node {node}", line_no)
-        if node in coords:
-            raise ParseError(f"duplicate coordinate for node {node}", line_no)
-        coords[node] = xy
-    if coord_lines and len(coords) < len(known):
-        raise ParseError(f"node {min(known - coords.keys())} has no coordinate")
-    ids = sorted(known)
-    return RoadGraph._build(best, ids, [coords[v] for v in ids] if coord_lines else None)
+    ids = sorted(set(chain.from_iterable(best)))
+    return RoadGraph._build(best, ids, _place_coords(dict.fromkeys(ids), coord_lines) if coord_lines else None)
 
 
 def write_tsv(g: RoadGraph) -> str:
@@ -366,11 +363,10 @@ def settle_stream(
     A binary heap with lazy deletion; stale entries are skipped. ``dist`` is
     the caller's store of tentative distances, indexed by node, that reads
     inf for a node not yet reached: a list, or a dict with that default.
-    ``dijkstra`` passes a list; circle growing no longer runs this stream,
-    so no caller in the package needs the dict. A settled node's arcs are
-    relaxed into it only when the stream is resumed, so a consumer that
-    stops after a yield, as ``dijkstra``'s targeted search does beyond its
-    tie band, never relaxes that node.
+    ``dijkstra``, the stream's one caller in the package, passes a list.
+    A settled node's arcs are relaxed into it only when the stream is
+    resumed, so a consumer that stops after a yield, as ``dijkstra``'s
+    targeted search does beyond its tie band, never relaxes that node.
     """
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]

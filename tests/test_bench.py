@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
 
 from stabledistrict import (
     BenchConfig,
+    Instance,
     InstanceError,
     SplitMix64,
     assignment_digest,
     generate_grid,
     run_bench,
     sample_centers,
+    solve,
     write_csv,
 )
 from stabledistrict.bench import CSV_HEADER, derive_seed, jittered_weight
@@ -163,20 +166,25 @@ def test_bench_config_validation():
         BenchConfig(k_values=(1,), runs=0)
     with pytest.raises(ValueError):
         BenchConfig(k_values=(1,), algorithms=("bogus",))
+    with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+        solve(Instance(generate_grid(2, 2), [0], [4]), "bogus")
 
 
 def test_csv_output_format():
     cfg = BenchConfig(k_values=(2,), runs=1, algorithms=("circle",))
-    records = run_bench(generate_grid(4, 4), "grid:4x4", cfg)
-    buf = io.StringIO()
-    write_csv(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == CSV_HEADER
-    fields = lines[1].split(",")
-    assert len(fields) == len(CSV_HEADER.split(","))
-    assert fields[0] == "grid:4x4"
-    assert fields[6] == "circle"
-    assert fields[9] == "ok"
+    graph = generate_grid(4, 4)
+    # A name holding a comma, a quote or a line break is quoted; a plain one is written bare.
+    for name in ("grid:4x4", "a,b.tsv", '"say" hi.tsv', "cr\rlf\n.tsv"):
+        buf = io.StringIO()
+        write_csv(run_bench(graph, name, cfg), buf)
+        header, row = csv.reader(io.StringIO(buf.getvalue(), newline=""))
+        assert ",".join(header) == CSV_HEADER
+        assert len(row) == len(header)
+        assert row[0] == name
+        assert row[6] == "circle"
+        assert row[9] == "ok"
+    assert buf.getvalue().startswith(f'{CSV_HEADER}\n"cr\rlf\n.tsv",16,24,2,0,0,circle,')
+    assert buf.getvalue().endswith("\n") and buf.getvalue().count("\n") == 3
 
 
 def test_assignment_digest_is_stable():

@@ -115,6 +115,9 @@ def test_parse_dimacs_incomplete_coordinates():
     ("v 1 nan 0\nv 2 0 0\nv 3 0 0\n", "nonfinite coordinates nan 0", 1),
     ("c coords\nv 1 0 0\nv 2 0 inf\nv 3 0 0\n", "nonfinite coordinates 0 inf", 3),
     ("v 1 0 0\nv 2 0 0\nv 3 -inf -inf\n", "nonfinite coordinates -inf -inf", 3),
+    # Ids are placed after the last line, as in parse_tsv, so a nonfinite
+    # line after an unknown and a duplicate id is the error reported.
+    ("v 1 0 0\nv 9 0 0\nv 1 0 0\nv 2 nan 0\n", "nonfinite coordinates nan 0", 4),
 ])
 def test_parse_dimacs_rejects_nonfinite_coordinates(co, fragment, line):
     with pytest.raises(ParseError) as err:
@@ -530,6 +533,24 @@ def test_from_edges_rejects_bad_weights():
         RoadGraph.from_edges([(0, 1, math.inf)])
     with pytest.raises(ValueError, match="self-loop"):
         RoadGraph.from_edges([(2, 2, 1.0)])
+
+
+_O = (0.0, 0.0)
+
+
+@pytest.mark.parametrize("node_ids, coords, kind, message", [
+    ([0, 1], None, ValueError, "edge endpoint outside the declared node set"),
+    (None, {0: _O, 1: _O}, ParseError, "node 2 has no coordinate"),
+    (None, {9: _O, 0: _O, 7: _O, 1: _O, 2: _O}, ParseError, "coordinate for unknown node 7"),
+    # Nonfinite first, then unknown, then missing.
+    (None, {0: _O, 1: _O, 5: _O}, ParseError, "coordinate for unknown node 5"),
+    (None, {5: _O, 1: _O, 0: (math.nan, 0.0)}, ValueError, "nonfinite coordinates (nan, 0.0) for node 0"),
+])
+def test_from_edges_rejects_bad_nodes_and_coordinates(node_ids, coords, kind, message):
+    with pytest.raises(ValueError) as err:
+        RoadGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)], node_ids, coords)
+    assert type(err.value) is kind
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])

@@ -38,7 +38,6 @@ from helpers import (
     brute_force_blocking_pairs,
     helper_corpus,
     path_graph,
-    random_dimacs_instance,
     random_float_instance,
     random_grid_instance,
     random_sparse_instance,
@@ -280,19 +279,22 @@ def test_member_ball_rows_give_the_full_rows_verdict(equivalence_suite):
 
 
 def test_integer_dimacs_instances_agree_and_verify_stable():
-    # Integer weights 1-100 tie distances exactly, on both sides of the
-    # matching; Zipf quotas skew the district sizes.
+    # Every search runs outward from a center, so on the whole helper corpus
+    # (float weights included) the five solvers' match and dist agree bit for
+    # bit, and each solver's own dist verifies against full rows and balls.
+    # Integer DIMACS weights 1-100 tie distances exactly, on both sides of
+    # the matching; Zipf quotas skew the district sizes.
     node_ties = 0
-    for seed in range(60):
-        inst = random_dimacs_instance(seed)
+    for generator, seed, inst in helper_corpus():
         full = compute_center_distances(inst)
-        node_ties += any(len(set(column)) < len(column) for column in zip(*full))
+        if generator == "random_dimacs_instance":
+            node_ties += any(len(set(column)) < len(column) for column in zip(*full))
         outputs = all_solver_outputs(inst)
         expected = outputs["mutual"]
         for name, a in outputs.items():
-            assert a == expected, (seed, name)
-            assert verify_stable(inst, a, full) is None, (seed, name)
-            assert verify_stable(inst, a, member_ball_distances(inst, a)) is None, (seed, name)
+            assert a == expected, (generator, seed, name)
+            assert verify_stable(inst, a, full) is None, (generator, seed, name)
+            assert verify_stable(inst, a, member_ball_distances(inst, a)) is None, (generator, seed, name)
     assert node_ties >= 6, node_ties
 
 
