@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
 from itertools import chain
 from typing import Iterator
 
@@ -133,26 +132,18 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _check_writable(path: str | None) -> None:
-    """Raise the error that writing ``path`` would raise, but write nothing.
-
-    A file this check creates is removed again, so a run that fails later
-    leaves no new file, and an existing one keeps its bytes.
-    """
-    if path is None or path == "-":
-        return
-    created = not os.path.lexists(path)
-    open(path, "a").close()
-    if created:
-        os.remove(path)
-
-
 def _check_outputs(args) -> None:
-    """Check solve's outputs before the solve, which a bad one would waste:
-    each must be writable, no two may name one file and at most one may be
-    stdout, or the later write would clobber or interleave with the earlier."""
+    """Check a command's outputs (``-o``, and solve's ``--summary`` and
+    ``--trace``) before it reads any input, since a bad one would waste the
+    work: each must be writable, no two may name one file and at most one
+    may be stdout, or the later write would clobber or interleave with the
+    earlier. The check writes nothing: a file it creates is removed again,
+    so a run that fails later leaves no new file, and an existing one keeps
+    its bytes. Every output is then written once, after the work, by
+    ``_write_text``."""
     claimed: dict[str, str] = {}
-    for flag, path in (("-o", args.output or "-"), ("--summary", args.summary), ("--trace", args.trace)):
+    for flag, path in (("-o", args.output or "-"), ("--summary", getattr(args, "summary", None)),
+                       ("--trace", getattr(args, "trace", None))):
         if not path:
             continue
         key = path if path == "-" else os.path.realpath(path)
@@ -163,7 +154,11 @@ def _check_outputs(args) -> None:
         else:
             where = "stdout" if path == "-" else path
             raise ValueError(f"{claimed[key]} and {flag} both write to {where}: give each its own file")
-        _check_writable(path)
+        if path != "-":
+            created = not os.path.lexists(path)
+            open(path, "a").close()
+            if created:
+                os.remove(path)
 
 
 def cmd_solve(args) -> int:
@@ -171,21 +166,17 @@ def cmd_solve(args) -> int:
         raise ValueError(f"--trace records circle-growing events; --algo {args.algo} writes none")
     _check_outputs(args)
     inst = _load_instance(args)
-    if not args.trace:
-        trace_cm = nullcontext()
-    elif args.trace == "-":
-        trace_cm = nullcontext(sys.stdout)
-    else:
-        trace_cm = open(args.trace, "w", encoding="utf-8", newline="")
-    with trace_cm as trace_fh:
-        start = time.perf_counter()
-        assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=args.memory_cap, trace=trace_fh)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
+    trace = io.StringIO() if args.trace else None
+    start = time.perf_counter()
+    assignment, _ = bench_mod.solve(inst, args.algo, memory_cap_bytes=args.memory_cap, trace=trace)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(
         f"n={inst.graph.node_count} m={inst.graph.edge_count} k={inst.k}"
         f" algorithm={args.algo} time_ms={elapsed_ms:.1f}",
         file=sys.stderr,
     )
+    if trace is not None:
+        _write_text(args.trace, trace.getvalue())
     _write_text(args.output, assignment_to_tsv(inst, assignment))
     if args.summary:
         _write_text(args.summary, assignment_summary_json(inst, assignment))
@@ -195,7 +186,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_instance(args)
     g, centers = inst.graph, inst.centers
-    assignment = parse_assignment_tsv("".join(_text_lines(args.assignment)), g, centers)
+    assignment = parse_assignment_tsv(_text_lines(args.assignment), g, centers)
     verdict = verify_stable(inst, assignment, member_ball_distances(inst, assignment))
     if verdict is None:
         print("STABLE")
@@ -236,7 +227,7 @@ def cmd_bench(args) -> int:
         algorithms=tuple(args.algos.split(",")),
         memory_cap_bytes=args.memory_cap,
     )
-    _check_writable(args.output)  # before the sweep, which an unwritable path would waste
+    _check_outputs(args)
     if args.grid is None:
         name = os.path.basename(args.graph)
     elif args.jitter_seed is None:
@@ -250,8 +241,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_outputs(args)
     g = _load_graph(args)
-    rows = read_assignment_rows("".join(_text_lines(args.assignment)))
+    rows = read_assignment_rows(_text_lines(args.assignment))
     # Reconstruct the instance from the assignment itself: centers are the
     # distinct assigned center ids (ascending), quotas their member counts.
     members = dict(sorted(Counter(center_id for _, _, center_id, _ in rows).items()))
@@ -269,6 +261,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_outputs(args)
     g = _grid(args)
     if not all(g.adjacency):
         raise ValueError(f"grid {args.grid} has a node without edges, which a TSV edge list cannot express")

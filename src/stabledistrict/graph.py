@@ -27,6 +27,7 @@ search (``circle.py``), so it shares no search code with verify.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,14 +121,9 @@ class RoadGraph:
         sorted original ids, ``coords`` the dense coordinates or None."""
         n = len(ids)
         index = dict(zip(ids, range(n)))
-        lo = ids[0]
-        if ids[-1] - lo == n - 1:  # contiguous ids, as in every DIMACS file: dense id is id - lo,
-            pos = list(index.values())  # read from a list so the rows share index's n ints
-        else:
-            pos, lo = index, 0
         adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
         for (u, v), w in best.items():
-            u, v = pos[u - lo], pos[v - lo]
+            u, v = index[u], index[v]
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
         for row in adjacency:
@@ -143,7 +139,10 @@ class RoadGraph:
 
 
 def _lines(stream: IO[str] | str) -> Iterable[str]:
-    return stream.splitlines() if isinstance(stream, str) else stream
+    """The lines of ``stream``; a string is split as ``open()`` splits a
+    file, at ``\n``, ``\r`` and ``\r\n`` only, so a reader numbers the
+    lines of a string as it numbers the same text read from a file."""
+    return io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
 
 
 def _coordinate(tokens: list[str], line_no: int, tag: str) -> tuple[int, int, tuple[float, float]]:

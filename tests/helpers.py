@@ -243,15 +243,17 @@ def reference_from_edges(edges, node_ids=None, coords=None) -> RoadGraph:
         row.sort()
     dense_coords = None
     if coords is not None:
-        missing = universe - coords.keys()
-        if missing:
-            raise ValueError(f"node {min(missing)} has no coordinate")
-        unknown = coords.keys() - universe
-        if unknown:
-            raise ValueError(f"coordinate for unknown node {min(unknown)}")
+        # The parsers' order: nonfinite, then the smallest unknown id, then
+        # the smallest id without a coordinate.
         for orig, (x, y) in coords.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"nonfinite coordinates ({x!r}, {y!r}) for node {orig}")
+        unknown = coords.keys() - universe
+        if unknown:
+            raise ParseError(f"coordinate for unknown node {min(unknown)}")
+        missing = universe - coords.keys()
+        if missing:
+            raise ParseError(f"node {min(missing)} has no coordinate")
         dense_coords = [coords[orig] for orig in ids]
     return RoadGraph(
         node_count=len(ids),
@@ -312,7 +314,7 @@ def reference_parse_dimacs(gr_stream, co_stream=None) -> RoadGraph:
                          f" {len(edges)} arc line(s) allow at most {2 * len(edges) + 1}", header_line)
     coords = None
     if co_stream is not None:
-        coords = {}
+        coord_lines = []
         for line_no, raw in enumerate(_lines(co_stream), start=1):
             tokens = raw.split()
             if not tokens or tokens[0] == "c" or tokens[0] == "p":
@@ -326,6 +328,10 @@ def reference_parse_dimacs(gr_stream, co_stream=None) -> RoadGraph:
                 raise ParseError("malformed coordinate fields", line_no) from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(f"nonfinite coordinates {tokens[2]} {tokens[3]}", line_no)
+            coord_lines.append((line_no, node, x, y))
+        # Ids are placed once the whole file is read, in line order.
+        coords = {}
+        for line_no, node, x, y in coord_lines:
             if not 1 <= node <= n_declared:
                 raise ParseError(f"coordinate for unknown node {node}", line_no)
             if node in coords:

@@ -679,6 +679,50 @@ def test_trace_dash_goes_to_stdout_when_the_assignment_goes_to_a_file(grid_tsv, 
         "error: --trace - needs -o FILE: the assignment goes to stdout without it\n")
 
 
+def test_a_refused_circle_solve_leaves_its_trace_as_it_was(tmp_path, capsys):
+    graph = tmp_path / "x.tsv"
+    graph.write_text(ABSORBING)
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("old trace\n")
+    solve = ["solve", "--algo", "circle", "--random-centers", "1", "-o", str(tmp_path / "a.tsv"), str(graph)]
+    for trace in (kept, fresh):
+        assert run(solve + ["--trace", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith("error: smallest edge weight 1e-17 is below one ulp")
+    assert kept.read_text() == "old trace\n"
+    assert not fresh.exists()
+    assert not (tmp_path / "a.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_a_bad_assignment_row_is_named_by_its_file_line(grid_tsv, tmp_path, capsys, command):
+    # A form feed ends no line in a file, so row 5 stays line 5.
+    out = tmp_path / "a.tsv"
+    instance = ["--random-centers", "3", "--seed", "5", str(grid_tsv)]
+    assert run(["solve", "--algo", "circle", "-o", str(out)] + instance) == 0
+    lines = out.read_text().splitlines()
+    lines[1] += "\x0c"
+    lines[4] = "3\t0\tx"
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = {"verify": ["verify", "--assignment", str(out)] + instance,
+            "render": ["render", "--assignment", str(out), "-o", str(tmp_path / "m.svg"), str(grid_tsv)]}[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: assignment row 5: malformed fields\n"
+
+
+@pytest.mark.parametrize("command", ["render", "generate"])
+def test_an_unwritable_output_fails_before_any_input_is_read(grid_tsv, tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for owner, name in ((cli, "parse_tsv"), (cli, "render_svg"), (cli.bench_mod, "generate_grid")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    argv = {"render": ["render", "--assignment", str(tmp_path / "none.tsv"), "-o", str(tmp_path), str(grid_tsv)],
+            "generate": ["generate", "--grid", "3x3", "-o", str(tmp_path / "no" / "g.tsv")]}[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert not calls
+
+
 def test_a_coordinate_file_needs_a_dimacs_graph(grid_tsv, tmp_path, capsys):
     co = tmp_path / "g.co"
     co.write_text("v 1 0 0\n")

@@ -75,13 +75,25 @@ def test_parse_dimacs_collapses_parallel_edges_to_min():
         ("q sp 3 2\n", "unrecognized", 1),
         ("c big\np sp 4 1\na 1 2 5\n", "at most 3", 2),
         ("p sp 99999999999 1\na 1 2 1\n", "declares 99999999999 nodes", 1),
+        # Only \n, \r and \r\n end a line, in a string as in a file.
+        ("p sp 3 2\x0c\na 1 2 x\n", "malformed arc fields", 2),
+        ("p sp 3 2\r\nc \u2028 \x1c\ra 1 4 5\n", "outside 1..3", 3),
     ],
 )
-def test_parse_dimacs_errors_name_the_line(text, fragment, line):
-    with pytest.raises(ParseError) as err:
-        parse_dimacs(text)
-    assert fragment in str(err.value)
-    assert f"line {line}" in str(err.value)
+def test_parse_dimacs_errors_name_the_line(tmp_path, text, fragment, line):
+    with _file_stream(tmp_path, text) as fh:
+        for stream in (text, fh):
+            with pytest.raises(ParseError) as err:
+                parse_dimacs(stream)
+            assert fragment in str(err.value)
+            assert f"line {line}" in str(err.value)
+
+
+def _file_stream(tmp_path, text):
+    """``text`` written byte for byte and opened as the CLI opens a file."""
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    return path.open(encoding="utf-8")
 
 
 def test_parse_dimacs_declared_nodes_without_arcs_are_isolated():
@@ -192,15 +204,20 @@ def test_parse_tsv_coordinate_errors():
         # line after a duplicate #node line is still the error reported.
         ("1 2 1\n#node 1 0 0\n#node 1 0 0\n2 3 x\n", "malformed edge fields", 4),
         ("1 2 1\n#node 9 0 0\n#node 1 0 0\n#node 1 0 0\n", "coordinate for unknown node 9", 2),
+        # Only \n, \r and \r\n end a line, in a string as in a file.
+        ("0 1 1\x0c\n1 2 x\n", "malformed edge fields", 2),
+        ("# c\x85omment \u2029 x\r\n0 1 1\x0b\r1 2 x\n", "malformed edge fields", 3),
     ],
 )
-def test_parse_tsv_errors_name_the_line(text, fragment, line):
-    with pytest.raises(ParseError) as err:
-        parse_tsv(text)
-    assert fragment in str(err.value)
-    assert err.value.line == line
-    if line is not None:
-        assert str(err.value).startswith(f"line {line}: ")
+def test_parse_tsv_errors_name_the_line(tmp_path, text, fragment, line):
+    with _file_stream(tmp_path, text) as fh:
+        for stream in (text, fh):
+            with pytest.raises(ParseError) as err:
+                parse_tsv(stream)
+            assert fragment in str(err.value)
+            assert err.value.line == line
+            if line is not None:
+                assert str(err.value).startswith(f"line {line}: ")
 
 
 # Faults for the loader fuzz: (message fragment, edit). An edit changes a
@@ -210,6 +227,16 @@ def _put(template: str, after_header: bool = False):
     def edit(lines, n, rng):
         lo = 1 + _header(lines) if after_header else 0
         lines.insert(lo + rng.next_below(len(lines) + 1 - lo), template.format(n=n, above=n + 1))
+    return edit
+
+
+def _put_after(first: str, then: str):
+    """Put ``first`` anywhere and ``then`` somewhere after it: two faults,
+    of which only ``then``'s is found before the last line."""
+    def edit(lines, n, rng):
+        i = rng.next_below(len(lines) + 1)
+        lines.insert(i, first.format(n=n, above=n + 1))
+        lines.insert(i + 1 + rng.next_below(len(lines) - i), then)
     return edit
 
 
@@ -263,6 +290,7 @@ TSV_FAULTS = [
     ("duplicate coordinate", _repeat("#node ")),
     ("has no coordinate", _drop("#node ")),
     ("empty graph", _keep_comments),
+    ("malformed coordinate line", _put_after("#node {n} 0 0", "#node 0 1.0")),
 ]
 
 GR_FAULTS = [
@@ -292,6 +320,7 @@ CO_FAULTS = [
     ("coordinate for unknown node", _put("v {above} 0 0")),
     ("duplicate coordinate", _repeat("v ")),
     ("has no coordinate", _drop("v ")),
+    ("malformed coordinate fields", _put_after("v {above} 0 0", "v 1 0 east")),
 ]
 
 # Lines that change nothing: blanks and comments of each format.
@@ -367,7 +396,7 @@ def test_parse_tsv_matches_the_two_pass_reference():
 def test_from_edges_matches_the_two_pass_reference():
     for seed, g in _helper_graphs():
         rng = SplitMix64(derive_seed(seed, g.node_count, 0x77))
-        # Spread ids apart for the indexed path; keep them 0..n-1 for the contiguous one.
+        # Spread ids apart on odd seeds; keep them 0..n-1, as in a DIMACS file, on even ones.
         spread = (lambda u: 3 * u - 7) if seed % 2 else (lambda u: u)
         edges = [(spread(u), spread(v), w * (1.0, 1.5)[rng.next_below(2)])
                  for u in range(g.node_count) for v, w in g.adjacency[u]]
@@ -382,6 +411,12 @@ def test_from_edges_matches_the_two_pass_reference():
             bad[node] = (math.nan, 0.0) if seed % 2 else (bad[node][0], -math.inf)
             args = (edges, None, bad)
             assert _load(RoadGraph.from_edges, args) == _load(reference_from_edges, args)
+            # Two faults: the nonfinite or an unknown coordinate, each beside
+            # a missing one, which is reported last.
+            gone = next(u for u in coords if u != node)
+            for two in (bad, {**coords, spread(g.node_count + 2): (0.0, 0.0)}):
+                args = (edges, None, {u: xy for u, xy in two.items() if u != gone})
+                assert _load(RoadGraph.from_edges, args) == _load(reference_from_edges, args)
 
 
 def _dimacs_texts():

@@ -384,6 +384,18 @@ def test_assignment_tsv_error_cases(p6):
         parse_assignment_tsv("99\t1\t0.0\n", p6.graph, p6.centers)
 
 
+@pytest.mark.parametrize("end", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_assignment_rows_are_numbered_as_file_lines(tmp_path, end):
+    # Only \n, \r and \r\n end a row, in a string as in a file.
+    text = f"node_original_id\tcenter_original_id\tdistance\n0\t1\t1.0{end}\n1\t1\t0.0\r\n2\t1\tx\n"
+    path = tmp_path / "a.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with path.open(encoding="utf-8") as fh:
+        for stream in (text, fh):
+            with pytest.raises(ValueError, match="^assignment row 4: malformed fields$"):
+                model.read_assignment_rows(stream)
+
+
 def test_assignment_summary_statistics(p6):
     a = solve(p6, "mutual")[0]
     summary = assignment_summary(p6, a)

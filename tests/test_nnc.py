@@ -127,12 +127,23 @@ def test_broken_oracle_aborts():
         nnc_run(_STALE_LABELS, factory)
 
 
-def test_empty_oracle_aborts_while_nodes_are_unmatched():
-    def factory(inst, side):
-        return _MisbehavingOracle(inst, lambda q, c: None)
+class _EmptyOracle:
+    """Has no center to name, from its first query on."""
 
-    with pytest.raises(OracleError, match="empty while nodes are unmatched"):
-        nnc_run(_STALE_LABELS, factory)
+    def nearest(self, q):
+        return None
+
+    def remove(self, x):
+        pass
+
+
+def test_empty_oracle_aborts_while_nodes_are_unmatched():
+    # Empty once a center fills, and empty from the first query, when the
+    # solver labels every node.
+    for factory in (lambda inst, side: _MisbehavingOracle(inst, lambda q, c: None),
+                    lambda inst, side: _EmptyOracle()):
+        with pytest.raises(OracleError, match="empty while nodes are unmatched"):
+            nnc_run(_STALE_LABELS, factory)
 
 
 def test_mutual_closest_match_order(p4):

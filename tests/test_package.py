@@ -38,6 +38,19 @@ def test_the_package_imports_only_the_standard_library():
     assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
 
 
+def test_only_the_cli_opens_files():
+    # Inputs are read through cli._text_lines; outputs are checked by
+    # cli._check_outputs and written by cli._write_text. The library takes
+    # strings and streams.
+    openers = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    openers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert openers == {"cli._text_lines", "cli._write_text", "cli._check_outputs"}
+
+
 def test_every_root_export_resolves():
     assert len(set(stabledistrict.__all__)) == len(stabledistrict.__all__)
     for name in stabledistrict.__all__:
