@@ -135,17 +135,19 @@ def _write_text(path: str | None, text: str) -> None:
 def _check_outputs(args) -> None:
     """Check a command's outputs (``-o``, and solve's ``--summary`` and
     ``--trace``) before it reads any input, since a bad one would waste the
-    work: each must be writable, no two may name one file and at most one
-    may be stdout, or the later write would clobber or interleave with the
-    earlier. The check writes nothing: a file it creates is removed again,
-    so a run that fails later leaves no new file, and an existing one keeps
-    its bytes. Every output is then written once, after the work, by
-    ``_write_text``."""
+    work: each must be a nonempty path and writable, no two may name one
+    file and at most one may be stdout, or the later write would clobber or
+    interleave with the earlier. The check writes nothing: a file it creates
+    is removed again, so a run that fails later leaves no new file, and an
+    existing one keeps its bytes. Every output is then written once, after
+    the work, by ``_write_text``."""
     claimed: dict[str, str] = {}
-    for flag, path in (("-o", args.output or "-"), ("--summary", getattr(args, "summary", None)),
-                       ("--trace", getattr(args, "trace", None))):
-        if not path:
+    for flag, path in (("-o", "-" if args.output is None else args.output),
+                       ("--summary", getattr(args, "summary", None)), ("--trace", getattr(args, "trace", None))):
+        if path is None:
             continue
+        if not path:
+            raise ValueError(f"{flag} got an empty path: name a file, or '-' for stdout")
         key = path if path == "-" else os.path.realpath(path)
         if key not in claimed:
             claimed[key] = flag

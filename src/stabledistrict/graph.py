@@ -6,8 +6,9 @@ ids are remapped to a dense 0..n-1 range with the source-file ids kept in
 ``original_ids``. The parsers validate each line once and fold it straight
 into the edge map that ``RoadGraph.from_edges`` also builds. The three
 constructors share the coordinate rules: the parsers read each coordinate
-line with ``_coordinate``, all three check placement with
-``_place_coords`` once the whole input is read, and all three end in
+line with ``_coordinate``, all three place coordinates with
+``_place_coords`` (``parse_dimacs`` as it reads each ``.co`` line, the
+other two once the whole input is read), and all three end in
 ``_build``. A constructed ``RoadGraph`` is treated as immutable and is
 safe for concurrent reads. Its one cache, ``_weight_span``, is written
 whole and only with values that hold for the graph, so a reader that races
@@ -18,10 +19,10 @@ Shortest paths have two drains, both behind ``dijkstra``.
 ``settle_stream`` is a binary-heap Dijkstra that yields nodes as they
 settle; targeted searches, and full searches that ``fits_bucket_ring``
 turns away, use it. A full search of a graph that passes
-``fits_bucket_ring`` drains ``_drain_ring``, Dial's bucket queue,
-instead; its rows equal the heap's bit for bit. A graph whose weight sum
-is too large for the ring may still pass by the radius its first full
-search records: integer road weights do. Circle growing runs its own
+``fits_bucket_ring`` drains ``_drain_ring``, Dial's bucket queue of bare
+node ids, instead; its rows equal the heap's bit for bit. A graph whose
+weight sum is too large for the ring may still pass by the radius its
+first full search records: integer road weights do. Circle growing runs its own
 search (``circle.py``), so it shares no search code with verify.
 """
 
@@ -160,22 +161,30 @@ def _coordinate(tokens: list[str], line_no: int, tag: str) -> tuple[int, int, tu
 
 
 def _place_coords(ids, coord_lines) -> list[tuple[float, float]]:
-    """Place ``(line_no, id, (x, y))`` coordinate lines on ``ids`` once the
-    whole input is read; return the coordinates in ``ids`` order.
+    """Place ``(line_no, id, (x, y))`` coordinate lines on ``ids`` as they
+    are read; return the coordinates in ``ids`` order.
 
     ``ids`` iterates the sorted node ids and answers ``in`` in O(1) (a range
-    or a dict). An unknown or repeated id is reported at its line, in line
-    order, then the smallest id without a coordinate. Nothing of ``ids``'
-    size is built before every id is covered, so a DIMACS header declaring a
-    huge node count costs only its coordinate file's lines.
+    or a dict). ``coord_lines`` may be lazy: a fault its reading raises (a
+    malformed line) comes first. Then the first unknown or repeated id in
+    line order is reported at its line, once the last line is read, then the
+    smallest id without a coordinate. Nothing of ``ids``' size is built
+    before every id is covered, so a DIMACS header declaring a huge node
+    count costs only its coordinate file's lines.
     """
     placed: dict[int, tuple[float, float]] = {}
+    fault: ParseError | None = None
     for line_no, node, xy in coord_lines:
+        if fault is not None:
+            continue
         if node not in ids:
-            raise ParseError(f"coordinate for unknown node {node}", line_no)
-        if node in placed:
-            raise ParseError(f"duplicate coordinate for node {node}", line_no)
-        placed[node] = xy
+            fault = ParseError(f"coordinate for unknown node {node}", line_no)
+        elif node in placed:
+            fault = ParseError(f"duplicate coordinate for node {node}", line_no)
+        else:
+            placed[node] = xy
+    if fault is not None:
+        raise fault
     try:
         return [placed[v] for v in ids]
     except KeyError as missing:
@@ -238,8 +247,8 @@ def parse_dimacs(gr_stream: IO[str] | str, co_stream: IO[str] | str | None = Non
     ids, coords = range(1, n_declared + 1), None
     if co_stream is not None:
         lines = enumerate(map(str.split, _lines(co_stream)), start=1)
-        coords = _place_coords(ids, [
-            _coordinate(tokens, line_no, "v") for line_no, tokens in lines if tokens and tokens[0] not in ("c", "p")])
+        coords = _place_coords(ids, (
+            _coordinate(tokens, line_no, "v") for line_no, tokens in lines if tokens and tokens[0] not in ("c", "p")))
     return RoadGraph._build(best, list(ids), coords)
 
 
@@ -387,37 +396,42 @@ def _drain_ring(
 ) -> None:
     """A full search from ``source`` into ``dist`` by Dial's bucket queue.
 
-    Bucket b holds the entries ``(d, v)`` with ``d`` in ``[b, b + 1)`` times
-    ``w_min``, kept in a ring of ``floor(w_max / w_min) + 2`` slots: every
-    relaxation lands less than a full turn ahead, so a slot is reused only
-    once it is drained. An entry with ``d > dist[v]`` is stale. A slot is drained
-    again until it stays empty, so a relaxation that rounding lands in the
-    current slot is corrected, and the search ends after a full turn of
-    empty slots. The rows equal ``settle_stream``'s bit for bit: any order
-    of relaxations that ends with every node's arcs relaxed at its final
-    distance yields the same floating-point row, the minimum over paths.
+    Bucket b holds the nodes ``v`` pushed at a distance in ``[b, b + 1)``
+    times ``w_min``, kept in a ring of ``floor(w_max / w_min) + 2`` slots:
+    every relaxation lands less than a full turn ahead, so a slot is reused
+    only once it is drained. An entry is a bare node id: a popped node's
+    arcs are relaxed at its current ``dist``, unless ``relaxed`` shows they
+    already were at that value. A slot is drained again until it stays
+    empty, so a relaxation that rounding lands in the current slot is
+    corrected, and the search ends after a full turn of empty slots. The
+    rows equal ``settle_stream``'s bit for bit: any order of relaxations
+    that ends with every node's arcs relaxed at its final distance yields
+    the same floating-point row, the minimum over paths.
     """
     size = int(w_max / w_min) + 2
-    ring: list[list[tuple[float, int]]] = [[] for _ in range(size)]
+    ring: list[list[int]] = [[] for _ in range(size)]
+    relaxed = [INF] * len(dist)
     dist[source] = 0.0
-    ring[0].append((0.0, source))
+    ring[0].append(source)
     slot = empty = 0
     while empty < size:
-        entries = ring[slot]
-        if not entries:
+        nodes = ring[slot]
+        if not nodes:
             empty += 1
             slot = (slot + 1) % size
             continue
         empty = 0
         ring[slot] = []
-        for d, u in entries:
-            if d > dist[u]:
-                continue  # stale entry
+        for u in nodes:
+            d = dist[u]
+            if relaxed[u] == d:
+                continue  # its arcs were relaxed at this distance already
+            relaxed[u] = d
             for v, w in adjacency[u]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    ring[int(nd / w_min) % size].append((nd, v))
+                    ring[int(nd / w_min) % size].append(v)
 
 
 def _weight_range(g: RoadGraph) -> tuple[float, float, float, float | None]:

@@ -147,10 +147,9 @@ def test_criterion_4_nnc_flatness(scaling_sweep):
     assert ok, (
         f"NNC mean-time ratio {ratio:.1f} exceeds 2.5. True k-independence needs"
         " a sublinear-per-operation dynamic nearest-neighbor structure, which is"
-        " deliberately not part of this package; with search-based oracles the"
-        " nodes-side work is bounded below by the sum over centers of the ball"
-        " reaching their farthest member, which on this sweep grows from ~1.59n"
-        " (k=2) to ~24.7n (k=512). See the companion contrast test for the"
+        " deliberately not part of this package; the chain solver's k-dependence"
+        " is in its center-side label repairs, which on this sweep reset ~1.56n"
+        " labels (k=2) to ~18.1n (k=512). See the companion contrast test for the"
         " qualitative phenomenon this check is after."
     )
 

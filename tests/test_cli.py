@@ -723,6 +723,34 @@ def test_an_unwritable_output_fails_before_any_input_is_read(grid_tsv, tmp_path,
     assert not calls
 
 
+EMPTY_PATH_CASES = {
+    "solve-output": ["solve", "--algo", "circle", "--random-centers", "2", "-o", ""],
+    "solve-summary": ["solve", "--algo", "circle", "--random-centers", "2", "-o", "{d}/a.tsv", "--summary", ""],
+    "solve-trace": ["solve", "--algo", "circle", "--random-centers", "2", "-o", "{d}/a.tsv", "--trace", ""],
+    "bench-output": ["bench", "--k", "2", "--runs", "1", "-o", ""],
+    "render-output": ["render", "--assignment", "{d}/a.tsv", "-o", ""],
+    "generate-output": ["generate", "--grid", "3x3", "-o", ""],
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATH_CASES)
+def test_an_empty_output_path_fails_before_any_input_is_read(grid_tsv, tmp_path, capsys, monkeypatch, case):
+    # An empty path is neither stdout nor a file: it used to pass the check
+    # as stdout (-o) or be skipped (--summary, --trace), so the run either
+    # failed on open("") after the work or wrote nothing and exited 0.
+    calls = []
+    for owner, name in ((cli, "parse_tsv"), (cli.bench_mod, "generate_grid")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    argv = [a.replace("{d}", str(tmp_path)) for a in EMPTY_PATH_CASES[case]]
+    if case != "generate-output":
+        argv.append(str(grid_tsv))
+    assert run(argv) == 1
+    flag = argv[argv.index("") - 1]
+    assert capsys.readouterr() == ("", f"error: {flag} got an empty path: name a file, or '-' for stdout\n")
+    assert not calls
+    assert sorted(os.listdir(tmp_path)) == ["grid.tsv"]
+
+
 def test_a_coordinate_file_needs_a_dimacs_graph(grid_tsv, tmp_path, capsys):
     co = tmp_path / "g.co"
     co.write_text("v 1 0 0\n")
@@ -864,6 +892,12 @@ AUDIT_CASES = [
     ("output-is-a-directory", 1, {}, ["render", "--assignment", "{d}/a.tsv", "-o", "{d}", "{d}/g.tsv"]),
     ("unwritable-generate-output", 1, {}, ["generate", "--grid", "3x3", "-o", "{d}/no/dir/g.tsv"]),
     ("unwritable-trace", 1, {}, CIRCLE + ["2", "--trace", "{d}/no/dir/t.txt", "{d}/g.tsv"]),
+    ("empty-solve-output", 1, {}, CIRCLE + ["2", "-o", "", "{d}/g.tsv"]),
+    ("empty-solve-summary", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "--summary", "", "{d}/g.tsv"]),
+    ("empty-solve-trace", 1, {}, CIRCLE + ["2", "-o", "{d}/o.tsv", "--trace", "", "{d}/g.tsv"]),
+    ("empty-bench-output", 1, {}, ["bench", "--grid", "3x3", "--k", "2", "--runs", "1", "-o", ""]),
+    ("empty-render-output", 1, {}, ["render", "--assignment", "{d}/a.tsv", "-o", "", "{d}/g.tsv"]),
+    ("empty-generate-output", 1, {}, ["generate", "--grid", "3x3", "-o", ""]),
     ("trace-for-other-solver", 1, {}, ["solve", "--algo", "nnc", "--random-centers", "2", "--trace", "{d}/t.txt", "{d}/g.tsv"]),
     ("tsv-bad-edge-after-duplicate-coordinate", 1, {"x.tsv": "0 1 1\n#node 0 0 0\n#node 0 0 0\n1 2 x\n"}, CIRCLE + ["1", "{d}/x.tsv"]),
     ("tsv-duplicate-coordinate", 1, {"x.tsv": "0 1 1\n#node 0 0 0\n#node 1 0 0\n#node 0 1 1\n"}, CIRCLE + ["1", "{d}/x.tsv"]),

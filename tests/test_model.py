@@ -126,6 +126,18 @@ def test_verify_stable_finds_blocking_pair(p4):
     first = brute_force_blocking_pairs(p4, a.match, dists)[0]
     assert (first[1], first[2]) == (1, 1)
 
+    # Center 0's two farthest members, nodes 1 and 2, tie at claimed
+    # distance 1.0; node 4 sits at 0.5 from center 0 but is assigned to
+    # center 1 at 1.0. The worst member named is the larger id, node 2,
+    # as the Score order ranks the tie.
+    g = RoadGraph.from_edges([(0, 1, 1.0), (0, 2, 1.0), (0, 4, 0.5), (4, 3, 1.0), (3, 5, 1.0)])
+    inst = Instance(g, [0, 3], [3, 3])
+    a = Assignment(match=[0, 0, 0, 1, 1, 1], dist=[0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+    want = BlockingPair(node=4, center=0, pair_dist=0.5, current_dist=1.0, worst_node=2, worst_dist=1.0)
+    assert verify_stable(inst, a, compute_center_distances(inst)) == want
+    assert verify_stable(inst, a, member_ball_distances(inst, a)) == want
+    assert brute_force_blocking_pairs(inst, a.match, compute_center_distances(inst))[0] == (0.5, 4, 0)
+
 
 def test_verify_stable_reports_quota_violation_first(p4):
     dists = compute_center_distances(p4)

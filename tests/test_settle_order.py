@@ -36,6 +36,7 @@ from helpers import (
     helper_corpus,
     path_graph,
     random_absorbing_instance,
+    random_dimacs_instance,
     random_float_instance,
     random_grid_instance,
     reference_mutual_closest,
@@ -101,6 +102,40 @@ def test_ring_rows_equal_the_heap_bit_for_bit(monkeypatch):
         searches, streamed = full_searches(monkeypatch, g, sources)
         assert streamed == 0
         assert searches == heap_rows(g, sources)
+
+
+class CountingAdjacency(list):
+    """An adjacency list that counts how often each node's arcs are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads: Counter = Counter()
+
+    def __getitem__(self, u):
+        self.reads[u] += 1
+        return super().__getitem__(u)
+
+
+def test_a_ring_search_reads_each_reached_node_once():
+    # The ring holds bare node ids, and a node popped again at a distance
+    # its arcs were already relaxed at is skipped, so exact weights (dyadic
+    # grids, DIMACS integers) read every reached node's arcs exactly once.
+    searched: Counter = Counter()
+    for make in (random_grid_instance, random_dimacs_instance):
+        for seed in range(60):
+            g = make(seed).graph
+            dijkstra(g, 0)  # a DIMACS graph may pass only by the radius this records
+            if not fits_bucket_ring(g):
+                continue
+            w_min, w_max, _, _ = graph._weight_range(g)
+            for source in range(g.node_count):
+                adjacency = CountingAdjacency(g.adjacency)
+                dist = [INF] * g.node_count
+                graph._drain_ring(adjacency, source, dist, w_min, w_max)
+                assert adjacency.reads == Counter(range(g.node_count)), (make.__name__, seed, source)
+                assert array("d", dist).tobytes() == heap_search(g, source)[0]
+            searched[make.__name__] += 1
+    assert searched == {"random_grid_instance": 60, "random_dimacs_instance": 26}
 
 
 def test_a_learned_radius_sends_road_graphs_to_the_ring_after_their_first_search(monkeypatch):
