@@ -20,10 +20,11 @@ Shortest paths have two drains, both behind ``dijkstra``.
 settle; targeted searches, and full searches that ``fits_bucket_ring``
 turns away, use it. A full search of a graph that passes
 ``fits_bucket_ring`` drains ``_drain_ring``, Dial's bucket queue of bare
-node ids, instead; its rows equal the heap's bit for bit. A graph whose
-weight sum is too large for the ring may still pass by the radius its
-first full search records: integer road weights do. Circle growing runs its own
-search (``circle.py``), so it shares no search code with verify.
+node ids, instead, in buckets up to ``_RING_SPAN`` smallest weights wide;
+its rows equal the heap's bit for bit. A graph whose weight sum is too
+large for the ring may still pass by the radius its first full search
+records: integer road weights do. Circle growing runs its own search
+(``circle.py``), so it shares no search code with verify.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from itertools import chain
 from typing import IO, Iterable, Iterator
 
 INF = math.inf
+_RING_SPAN = 8
 
 
 class ParseError(ValueError):
@@ -392,23 +394,27 @@ def settle_stream(
 
 
 def _drain_ring(
-    adjacency: list[list[tuple[int, float]]], source: int, dist: list[float], w_min: float, w_max: float
+    adjacency: list[list[tuple[int, float]]], source: int, dist: list[float], width: float, w_max: float
 ) -> None:
     """A full search from ``source`` into ``dist`` by Dial's bucket queue.
 
     Bucket b holds the nodes ``v`` pushed at a distance in ``[b, b + 1)``
-    times ``w_min``, kept in a ring of ``floor(w_max / w_min) + 2`` slots:
-    every relaxation lands less than a full turn ahead, so a slot is reused
-    only once it is drained. An entry is a bare node id: a popped node's
-    arcs are relaxed at its current ``dist``, unless ``relaxed`` shows they
-    already were at that value. A slot is drained again until it stays
-    empty, so a relaxation that rounding lands in the current slot is
-    corrected, and the search ends after a full turn of empty slots. The
-    rows equal ``settle_stream``'s bit for bit: any order of relaxations
-    that ends with every node's arcs relaxed at its final distance yields
-    the same floating-point row, the minimum over paths.
+    times ``width``, at least the smallest weight, kept in a ring of
+    ``floor(w_max / width) + 2`` slots: every relaxation lands less than a
+    full turn ahead, so a slot is reused only once it is drained. An entry
+    is a bare node id: a popped node's arcs are relaxed at its current
+    ``dist``, unless ``relaxed`` shows they already were at that value. A
+    slot is drained again until it stays empty, so a relaxation into the
+    current slot, by rounding or by an edge lighter than ``width``, is
+    drained with it, and the search ends after a full turn of empty slots.
+    At width ``w_min`` exact weights read each reached node's arcs once; a
+    wider bucket reads a node again only when a path of edges inside its
+    bucket lowers it after its pop. The rows equal ``settle_stream``'s bit
+    for bit: any order of relaxations that ends with every node's arcs
+    relaxed at its final distance yields the same floating-point row, the
+    minimum over paths.
     """
-    size = int(w_max / w_min) + 2
+    size = int(w_max / width) + 2
     ring: list[list[int]] = [[] for _ in range(size)]
     relaxed = [INF] * len(dist)
     dist[source] = 0.0
@@ -431,7 +437,7 @@ def _drain_ring(
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    ring[int(nd / w_min) % size].append(v)
+                    ring[int(nd / width) % size].append(v)
 
 
 def _weight_range(g: RoadGraph) -> tuple[float, float, float, float | None]:
@@ -471,14 +477,15 @@ def fits_bucket_ring(g: RoadGraph) -> bool:
     """Whether full searches of ``g`` drain ``_drain_ring`` instead of a heap.
 
     True when ``g`` has an edge and no search visits more than 2(n + m)
-    buckets of width ``w_min``. Either of two bounds on a search's reach
-    shows it: half the distance bound, when that is at most 4(n + m)
-    smallest weights (``w_min`` is then far above one ulp of it, so ``g``
-    settles in order), or twice the radius ``dijkstra`` records on its
-    first full heap search, by the triangle inequality (inf if a node went
-    unreached). The radius also needs ``settles_in_order(g)`` and a ring of
-    ``w_max / w_min + 2`` slots within 2(n + m), so that one huge weight on
-    no shortest path cannot allocate a huge ring.
+    buckets of width ``w_min``; ``dijkstra``'s buckets are at least that
+    wide, so this also bounds its ring's turns. Either of two bounds on a
+    search's reach shows it: half the distance bound, when that is at most
+    4(n + m) smallest weights (``w_min`` is then far above one ulp of it,
+    so ``g`` settles in order), or twice the radius ``dijkstra`` records on
+    its first full heap search, by the triangle inequality (inf if a node
+    went unreached). The radius also needs ``settles_in_order(g)`` and a
+    ring of ``w_max / w_min + 2`` slots within 2(n + m), so that one huge
+    weight on no shortest path cannot allocate a huge ring.
     """
     w_min, w_max, bound, radius = _weight_range(g)
     cap = 2 * (g.node_count + g.edge_count)
@@ -501,10 +508,11 @@ def require_settles_in_order(g: RoadGraph) -> None:
 def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) -> list[float]:
     """Single-source shortest paths: distance per node, inf where unreachable.
 
-    A full search (no ``targets``) drains ``_drain_ring`` when
-    ``fits_bucket_ring(g)`` holds and ``settle_stream`` otherwise; both give
-    the same row bit for bit. The graph's first full heap search records its
-    row's largest entry as the radius that guard reads.
+    A full search (no ``targets``) drains ``_drain_ring``, in buckets of up
+    to ``_RING_SPAN`` smallest weights, when ``fits_bucket_ring(g)`` holds
+    and ``settle_stream`` otherwise; both give the same row bit for bit.
+    The graph's first full heap search records its row's largest entry as
+    the radius that guard reads.
 
     With ``targets``, the search stops once every target is settled and the
     stream's next distance exceeds the farthest target's. The settled nodes
@@ -522,7 +530,8 @@ def dijkstra(g: RoadGraph, source: int, targets: Iterable[int] | None = None) ->
     if targets is None:
         if fits_bucket_ring(g):
             w_min, w_max, _, _ = _weight_range(g)
-            _drain_ring(g.adjacency, source, dist, w_min, w_max)
+            width = min(_RING_SPAN, int(w_max / w_min)) * w_min
+            _drain_ring(g.adjacency, source, dist, width, w_max)
         else:
             deque(settle_stream(g.adjacency, source, dist), maxlen=0)
             span = _weight_range(g)

@@ -195,10 +195,11 @@ def random_dimacs_instance(seed: int, max_n: int = 40) -> Instance:
     return Instance(g, centers, zipf_quotas(n, k))
 
 
-def dropped_edge_grid(side: int, seed: int, drop_pct: int = 12) -> RoadGraph:
-    """The largest component of a side x side grid whose edges carry integer
-    weights 1-100, each edge dropped with probability drop_pct/100: the
-    shape and weights of a DIMACS road file."""
+def dropped_edge_grid(side: int, seed: int, drop_pct: int = 12, weights=range(1, 101)) -> RoadGraph:
+    """The largest component of a side x side grid whose edges carry
+    ``weights`` drawn uniformly (by default the integers 1-100), each edge
+    dropped with probability drop_pct/100: by default the shape and weights
+    of a DIMACS road file."""
     rng = SplitMix64(derive_seed(seed, 0xD5))
     edges = []
     for y in range(side):
@@ -206,7 +207,7 @@ def dropped_edge_grid(side: int, seed: int, drop_pct: int = 12) -> RoadGraph:
             u = y * side + x
             for v, inside in ((u + 1, x + 1 < side), (u + side, y + 1 < side)):
                 if inside and rng.next_below(100) >= drop_pct:
-                    edges.append((u, v, float(1 + rng.next_below(100))))
+                    edges.append((u, v, float(weights[rng.next_below(len(weights))])))
     return largest_component(RoadGraph.from_edges(edges, node_ids=range(side * side)))
 
 

@@ -6,8 +6,8 @@ circle growing and the chain solver rely on. Where one can, the pops may
 leave that order, and circle growing and the chain solver refuse the graph;
 the table solvers rank their rows with ``rank_rows`` on every graph. Full
 searches on graphs whose weight spread fits ``graph.fits_bucket_ring``
-drain a bucket ring instead of the heap; their rows equal the heap's bit
-for bit.
+drain a bucket ring instead of the heap, in buckets up to 8 smallest
+weights wide; their rows equal the heap's bit for bit.
 """
 
 from __future__ import annotations
@@ -136,6 +136,71 @@ def test_a_ring_search_reads_each_reached_node_once():
                 assert array("d", dist).tobytes() == heap_search(g, source)[0]
             searched[make.__name__] += 1
     assert searched == {"random_grid_instance": 60, "random_dimacs_instance": 26}
+
+
+def ring_searches(monkeypatch, g: RoadGraph, sources) -> tuple[list[bytes], set[float], list[Counter]]:
+    """``dijkstra``'s full search from each source, as its row's bytes, with
+    the bucket widths it passed ``graph._drain_ring`` and, per search, how
+    often each node's arcs were read."""
+    inner = graph._drain_ring
+    widths: set[float] = set()
+    reads: list[Counter] = []
+
+    def spy(adjacency, source, dist, width, w_max):
+        counting = CountingAdjacency(adjacency)
+        inner(counting, source, dist, width, w_max)
+        widths.add(width)
+        reads.append(counting.reads)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_drain_ring", spy)
+        rows = [array("d", dijkstra(g, s)).tobytes() for s in sources]
+    assert len(reads) == len(rows)
+    return rows, widths, reads
+
+
+def test_widened_ring_rows_equal_the_heap_and_read_each_node_at_most_8_times(monkeypatch):
+    # Buckets min(8, w_max // w_min) smallest weights wide. A node is read
+    # again only when a path of edges inside its bucket lowers it; such a
+    # path has at most 7 edges, so no node is read more than 8 times.
+    road = dropped_edge_grid(50, 7)
+    cases = [("road50", road, range(0, road.node_count, 50))]
+    cases += [("dimacs", random_dimacs_instance(seed).graph, None) for seed in range(60)]
+    for name, weights in (("grid {1, 8}", (1, 8)), ("grid 1-9", range(1, 10))):
+        cases.append((name, dropped_edge_grid(40, 7, 0, weights), range(0, 1600, 32)))
+    searched: Counter = Counter()
+    extra: Counter = Counter()
+    for name, g, sources in cases:
+        dijkstra(g, 0)  # these may pass only by the radius this records
+        if not fits_bucket_ring(g):
+            continue
+        w_min, w_max, _, _ = graph._weight_range(g)
+        sources = sources or range(g.node_count)
+        rows, widths, reads = ring_searches(monkeypatch, g, sources)
+        assert widths == {min(8, int(w_max / w_min)) * w_min}, name
+        assert rows == heap_rows(g, sources), name
+        for row, counted in zip(rows, reads):
+            reached = [v for v, d in enumerate(array("d", row)) if d < INF]
+            assert sorted(counted) == reached and max(counted.values()) <= 8, name
+            extra[name] += counted.total() - len(reached)
+        searched[name] += 1
+    assert searched == {"road50": 1, "dimacs": 26, "grid {1, 8}": 1, "grid 1-9": 1}
+    # The re-reads the widening costs, out of 125,000, 11,697, 80,000 and 80,000 reads.
+    assert extra == {"road50": 44, "dimacs": 82, "grid {1, 8}": 6578, "grid 1-9": 1884}
+
+
+def test_grids_keep_buckets_one_smallest_weight_wide(monkeypatch):
+    # Every graph with w_max < 2 w_min keeps today's kernel: width w_min,
+    # each reached node's arcs read once.
+    cases = [(random_grid_instance(seed).graph, None) for seed in range(60)]
+    cases += [(generate_grid(w, h, jitter_seed=7), 97) for w in (32, 64) for h in (32, 64)]
+    for g, step in cases:
+        w_min, w_max, _, _ = graph._weight_range(g)
+        assert w_max < 2 * w_min and fits_bucket_ring(g)
+        sources = range(0, g.node_count, step or 1)
+        _, widths, reads = ring_searches(monkeypatch, g, sources)
+        assert widths == {w_min}
+        assert all(counted == Counter(range(g.node_count)) for counted in reads)
 
 
 def test_a_learned_radius_sends_road_graphs_to_the_ring_after_their_first_search(monkeypatch):
