@@ -2,10 +2,11 @@
 
 Both variants read a k x n table of 8-byte distances, one ``array("d")``
 per center filled by that center's shortest-path search, so memory is
-Theta(n*k). The searches run on the table's first read, and each side's
-preference lists are sorted from the table on first use: the
-center-proposing run reads only the centers' lists and the node-proposing
-run only the nodes'. ``build_preferences`` refuses up front (raising
+Theta(n*k). The searches run on the table's first read. The
+center-proposing run ranks every center's row on first use; the
+node-proposing run takes each node's first choice from one pass over the
+rows and ranks a node's k centers only once a center turns it away.
+``build_preferences`` refuses up front (raising
 ``MemoryCapExceeded``) when ``model.check_table_memory`` puts the table over
 a byte budget, instead of crashing mid-run; pass ``memory_cap_bytes=None``
 to override.
@@ -18,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heapreplace
+from itertools import compress
+from operator import lt
 from typing import NamedTuple
 
 from .model import (
@@ -28,13 +31,10 @@ from .model import (
 
 @dataclass
 class PreferenceTables:
-    """The k x n distance table, searched on first read, with each side's
-    ranked lists built on first read.
-
-    center_prefs[c] ranks all nodes for center c, best first; node_prefs[u]
-    ranks all center indices for node u. Both orders are strict under the
-    Score total order: ties in distance fall back to node id (center side)
-    or center index (node side).
+    """The k x n distance table, searched on first read, and the centers'
+    lists, ranked on first read: center_prefs[c] ranks all nodes for center
+    c, best first, with distance ties broken by node id (the Score order).
+    ``gs_nodes_run`` ranks a node's centers itself, when it needs them.
     """
 
     inst: Instance
@@ -46,13 +46,6 @@ class PreferenceTables:
     @cached_property
     def center_prefs(self) -> list[array]:
         return rank_rows(self.dist)
-
-    # A stable sort over the index range breaks distance ties by center
-    # index, which is exactly the Score order with the first component fixed.
-    @cached_property
-    def node_prefs(self) -> list[array]:
-        centers = range(len(self.dist))
-        return [array("i", sorted(centers, key=column.__getitem__)) for column in zip(*self.dist)]
 
 
 class GsRun(NamedTuple):
@@ -125,23 +118,43 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
     keyed by Score. A node leaves that heap only when the center bumps it,
     which pops it, and never proposes to the same center twice, so the top
     is always a current member. The bumped node resumes proposing from
-    where it left off.
+    where it left off. Nodes' first choices come from one pass over the
+    rows in index order, where only a strictly smaller distance takes a
+    node, so a tie keeps the lowest index as the Score order does. A node's
+    centers are ranked (a stable sort of its column) only when a center
+    first turns it away.
     """
     n = inst.graph.node_count
+    k = inst.k
     dist = prefs.dist
-    node_prefs = prefs.node_prefs
+    first = [0] * n
+    best = dist[0].tolist()
+    for c in range(1, k):
+        row = dist[c]
+        for u in compress(range(n), map(lt, row, best)):
+            first[u] = c
+            best[u] = row[u]
+    del best
+    ranked: list[array | None] = [None] * n
     slots = list(inst.quotas)
     pointer = [0] * n
     cur_center = [-1] * n
     cur_dist = [0.0] * n
-    worst: list[list[tuple[float, int]]] = [[] for _ in range(inst.k)]
+    worst: list[list[tuple[float, int]]] = [[] for _ in range(k)]
     free = list(range(n - 1, -1, -1))  # stack; node 0 proposes first
     proposals = 0
     while free:
         u = free.pop()
         p = pointer[u]
-        assert p < inst.k, "node exhausted its list while unmatched"
-        c = node_prefs[u][p]
+        if p:
+            assert p < k, "node exhausted its list while unmatched"
+            order = ranked[u]
+            if order is None:
+                column = [row[u] for row in dist]
+                order = ranked[u] = array("i", sorted(range(k), key=column.__getitem__))
+            c = order[p]
+        else:
+            c = first[u]
         pointer[u] = p + 1
         proposals += 1
         d = dist[c][u]
@@ -152,8 +165,9 @@ def gs_nodes_run(inst: Instance, prefs: PreferenceTables) -> GsRun:
             heappush(worst[c], (-d, -u))
         else:
             heap = worst[c]
-            wd, wu = -heap[0][0], -heap[0][1]
-            if (d, u) < (wd, wu):
+            wd, wu = heap[0]
+            wd, wu = -wd, -wu
+            if d < wd or (d == wd and u < wu):
                 heapreplace(heap, (-d, -u))
                 cur_center[wu] = -1
                 free.append(wu)

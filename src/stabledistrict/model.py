@@ -53,12 +53,14 @@ class MemoryCapExceeded(RuntimeError):
 
 
 # Bytes held by a solver that materializes the k x n distance table:
-# Gale-Shapley's with both sides read, in either order, or the mutual-
-# closest reference. Per (center, node) pair: an 8-byte slot in the
-# center's distance array and a 4-byte id in each side's ranked lists, and
-# one byte of headroom. Per node: the one boxed row alive while a search
-# runs, one row's ranking scratch (its boxed ``tolist()``, a boxed index
-# and a key slot) and a node's ranked-list header, which dominate at small k.
+# Gale-Shapley's with both variants run on one table, in either order, or
+# the mutual-closest reference. Per (center, node) pair: an 8-byte slot in
+# the center's distance array and a 4-byte id in each side's ranked lists,
+# and one byte of headroom. The node side holds ids only for the nodes a
+# center turned away, so for it this is an upper bound. Per node: the one
+# boxed row alive while a search runs, one row's ranking scratch (its boxed
+# ``tolist()``, a boxed index and a key slot) and the node-proposing run's
+# per-node state, which dominate at small k.
 # Per center: array headers with their slots and one column's boxed float.
 PAIR_ENTRY_BYTES = 17
 NODE_BYTES = 180

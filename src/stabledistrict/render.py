@@ -53,14 +53,14 @@ def render_svg(inst: Instance, a: Assignment) -> str:
         for x, y in g.coords
     ]
     match = a.match
-    segments: dict[int, list[str]] = {}
+    segments: list[list[str]] = [[] for _ in range(inst.k)]
     boundary: list[str] = []
     for u, (arcs, pu, cu) in enumerate(zip(g.adjacency, point, match)):
         for v, _ in arcs:
             if v < u:
                 continue
             if cu == match[v]:
-                segments.setdefault(cu, []).append(f"M{pu} L{point[v]}")
+                segments[cu].append(f"M{pu} L{point[v]}")
             else:
                 boundary.append(f"M{pu} L{point[v]}")
     lines = [
@@ -69,9 +69,9 @@ def render_svg(inst: Instance, a: Assignment) -> str:
         f' width="{WIDTH:.2f}" height="{height:.2f}">',
         f'<g fill="none" stroke-width="{EDGE_WIDTH:.2f}" stroke-linecap="round">',
     ]
-    for c in range(inst.k):
-        if c in segments:
-            lines.append(f'<path stroke="{district_color(c)}" d="{" ".join(segments[c])}"/>')
+    for c, district in enumerate(segments):
+        if district:
+            lines.append(f'<path stroke="{district_color(c)}" d="{" ".join(district)}"/>')
     if boundary:
         lines.append(f'<path stroke="{BOUNDARY_COLOR}" d="{" ".join(boundary)}"/>')
     lines.append("</g>")

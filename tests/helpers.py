@@ -8,6 +8,7 @@ implementation.
 from __future__ import annotations
 
 import math
+from array import array
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from typing import IO
@@ -29,7 +30,7 @@ from stabledistrict import (
 )
 from stabledistrict.bench import SplitMix64, derive_seed, sample_centers
 from stabledistrict.circle import CircleRun
-from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
+from stabledistrict.gale_shapley import GsRun, gs_centers_run, gs_nodes_run
 from stabledistrict.graph import _lines, require_settles_in_order, settle_stream
 from stabledistrict.nnc import DnnOracle, Side
 from stabledistrict.render import BOUNDARY_COLOR, district_color
@@ -478,6 +479,54 @@ def reference_mutual_closest(inst: Instance):
         order.append((u, c))
         remaining[c] -= 1
     return match, dist, order
+
+
+def reference_node_prefs(dist) -> list[array]:
+    """Every node's k center indices, best first, ranked up front from the
+    k x n table. A stable sort over the index range breaks distance ties by
+    center index, which is the Score order with the first component fixed."""
+    centers = range(len(dist))
+    return [array("i", sorted(centers, key=column.__getitem__)) for column in zip(*dist)]
+
+
+def reference_gs_nodes_run(inst: Instance, dist) -> GsRun:
+    """Nodes propose down eagerly ranked lists, from node 0 on, and a full
+    center bumps its worst member by the Score tuple order; gs_nodes_run
+    must return the same assignment and proposal count."""
+    n = inst.graph.node_count
+    node_prefs = reference_node_prefs(dist)
+    slots = list(inst.quotas)
+    pointer = [0] * n
+    cur_center = [-1] * n
+    cur_dist = [0.0] * n
+    worst: list[list[tuple[float, int]]] = [[] for _ in range(inst.k)]
+    free = list(range(n - 1, -1, -1))  # stack; node 0 proposes first
+    proposals = 0
+    while free:
+        u = free.pop()
+        p = pointer[u]
+        assert p < inst.k, "node exhausted its list while unmatched"
+        c = node_prefs[u][p]
+        pointer[u] = p + 1
+        proposals += 1
+        d = dist[c][u]
+        if slots[c] > 0:
+            slots[c] -= 1
+            cur_center[u] = c
+            cur_dist[u] = d
+            heappush(worst[c], (-d, -u))
+        else:
+            heap = worst[c]
+            wd, wu = -heap[0][0], -heap[0][1]
+            if (d, u) < (wd, wu):
+                heapreplace(heap, (-d, -u))
+                cur_center[wu] = -1
+                free.append(wu)
+                cur_center[u] = c
+                cur_dist[u] = d
+            else:
+                free.append(u)
+    return GsRun(Assignment(match=cur_center, dist=cur_dist), proposals)
 
 
 def reference_circle_growing(inst: Instance, trace: IO[str] | None = None) -> CircleRun:

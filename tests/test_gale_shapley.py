@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,25 +18,37 @@ from stabledistrict import (
     solve,
     verify_stable,
 )
+from stabledistrict import gale_shapley
 from stabledistrict.bench import derive_seed
 from stabledistrict.gale_shapley import gs_centers_run, gs_nodes_run
 from stabledistrict.model import CENTER_BYTES, NODE_BYTES, PAIR_ENTRY_BYTES, check_table_memory
 from stabledistrict.nnc import mutual_closest_run
 
-from helpers import path_graph, random_dimacs_instance, random_grid_instance, random_sparse_instance
+from helpers import (
+    all_solver_outputs,
+    helper_corpus,
+    path_graph,
+    random_absorbing_instance,
+    random_dimacs_instance,
+    random_grid_instance,
+    random_sparse_instance,
+    reference_gs_nodes_run,
+    reference_node_prefs,
+)
 
 
 def test_preferences_on_p6(p6):
     prefs = build_preferences(p6)
-    assert list(prefs.node_prefs[2]) == [0, 1]  # distances 2 vs 3
-    assert list(prefs.node_prefs[3]) == [1, 0]
+    node_prefs = reference_node_prefs(prefs.dist)
+    assert list(node_prefs[2]) == [0, 1]  # distances 2 vs 3
+    assert list(node_prefs[3]) == [1, 0]
     assert list(prefs.center_prefs[0])[:3] == [0, 1, 2]
 
 
 def test_preferences_tie_break_on_p5(p5):
     prefs = build_preferences(p5)
     # node 2 is equidistant from both centers; lower center index wins
-    assert list(prefs.node_prefs[2]) == [0, 1]
+    assert list(reference_node_prefs(prefs.dist)[2]) == [0, 1]
 
 
 def test_preference_distances_match_reverse_dijkstra(p5):
@@ -52,6 +65,7 @@ def test_preference_rows_are_strictly_sorted_permutations():
     for make, seed in itertools.product(makers, range(20)):
         inst = make(seed)
         prefs = build_preferences(inst)
+        node_prefs = reference_node_prefs(prefs.dist)
         n, k = inst.graph.node_count, inst.k
         for c in range(k):
             row = list(prefs.center_prefs[c])
@@ -59,7 +73,7 @@ def test_preference_rows_are_strictly_sorted_permutations():
             keys = [(prefs.dist[c][u], u) for u in row]
             assert all(a < b for a, b in zip(keys, keys[1:])), (make.__name__, seed, c)
         for u in range(n):
-            row = list(prefs.node_prefs[u])
+            row = list(node_prefs[u])
             assert sorted(row) == list(range(k))
             keys = [(prefs.dist[c][u], c) for c in row]
             assert all(a < b for a, b in zip(keys, keys[1:])), (make.__name__, seed, u)
@@ -68,12 +82,85 @@ def test_preference_rows_are_strictly_sorted_permutations():
 def test_each_run_sorts_only_the_side_it_reads():
     inst = random_grid_instance(7)
     prefs = build_preferences(inst)
-    assert "center_prefs" not in vars(prefs) and "node_prefs" not in vars(prefs)
+    assert set(vars(prefs)) == {"inst"}
     gs_centers_run(inst, prefs)
-    assert "center_prefs" in vars(prefs) and "node_prefs" not in vars(prefs)
+    assert set(vars(prefs)) == {"inst", "dist", "center_prefs"}
     prefs = build_preferences(inst)
     gs_nodes_run(inst, prefs)
-    assert "node_prefs" in vars(prefs) and "center_prefs" not in vars(prefs)
+    assert set(vars(prefs)) == {"inst", "dist"}  # the node side keeps no lists on the table
+
+
+def _edge_k_instances():
+    """Instances whose k is 1, 2, n - 1 or n: a 10x10 jitter-7 grid (three
+    center sets each) and two sparse graphs of 200 and 172 nodes."""
+    grid = generate_grid(10, 10, jitter_seed=7)
+    sparse = [random_sparse_instance(seed, max_n=200).graph for seed in (0, 2)]
+    for g, sets in [(grid, 3)] + [(g, 1) for g in sparse]:
+        n = g.node_count
+        for k, i in itertools.product((1, 2, n - 1, n), range(sets)):
+            yield Instance(g, sample_centers(n, k, derive_seed(1, k, i)), equal_quotas(n, k))
+
+
+def test_gs_nodes_run_equals_the_eager_reference():
+    # The reference ranks every node's centers before the first proposal;
+    # gs_nodes_run must make the same proposals and reach the same match.
+    # Gale-Shapley reads only the table, so absorbing graphs are in scope.
+    cases = [(name, seed, inst) for name, seed, inst in helper_corpus()]
+    cases += [("random_absorbing_instance", seed, random_absorbing_instance(seed)) for seed in range(300)]
+    cases += [("edge_k", inst.k, inst) for inst in _edge_k_instances()]
+    for name, seed, inst in cases:
+        prefs = build_preferences(inst, memory_cap_bytes=None)
+        assert gs_nodes_run(inst, prefs) == reference_gs_nodes_run(inst, prefs.dist), (name, seed)
+
+
+def test_a_node_is_ranked_once_and_only_after_a_center_turns_it_away(monkeypatch, p6, p5):
+    ranked_columns = []
+
+    def recording_sorted(iterable, *, key):
+        ranked_columns.append(tuple(key.__self__))  # the column the key reads
+        return sorted(iterable, key=key)
+
+    monkeypatch.setattr(gale_shapley, "sorted", recording_sorted, raising=False)
+
+    def rankings(inst):
+        ranked_columns.clear()
+        prefs = build_preferences(inst)
+        run = gs_nodes_run(inst, prefs)
+        return run, prefs.dist, list(ranked_columns)
+
+    run, _, ranked = rankings(p6)
+    assert ranked == [] and run.proposals == 6
+    # p5's node 2 ties at distance 2; proposing to center 0 first, it is
+    # accepted at once, so nobody is turned away.
+    run, _, ranked = rankings(p5)
+    assert ranked == [] and run.proposals == 5 and run.assignment.match == [0, 0, 0, 1, 1]
+
+    g = generate_grid(32, 32, jitter_seed=7)
+    n = g.node_count
+    grid = Instance(g, sample_centers(n, 64, derive_seed(1, 64, 0)), equal_quotas(n, 64))
+    for inst in [random_grid_instance(seed) for seed in range(20)] + [grid]:
+        run, dist, ranked = rankings(inst)
+        columns = [tuple(column) for column in zip(*dist)]
+        assert len(set(columns)) == inst.graph.node_count  # a column names its node
+        first_choice = [row[0] for row in reference_node_prefs(dist)]
+        # A node moves down its list only when turned away, so it ends off
+        # its first choice exactly when some center turned it away.
+        turned_away = [u for u, c in enumerate(run.assignment.match) if c != first_choice[u]]
+        assert Counter(ranked) == Counter(columns[u] for u in turned_away)
+    # grid-manyk's shape: some nodes are turned away, most are never ranked.
+    assert 0 < len(ranked) < n // 2
+
+
+def test_every_solver_returns_mutuals_assignment_at_k_near_n():
+    # The helper corpus reaches k = n only where n <= 12. Every graph here
+    # settles in order, so circle and nnc accept it.
+    for inst in _edge_k_instances():
+        if inst.k < inst.graph.node_count - 1:
+            continue
+        outputs = all_solver_outputs(inst)
+        want = outputs["mutual"]
+        for algo, got in outputs.items():
+            assert (got.match, got.dist) == (want.match, want.dist), (algo, inst.graph.node_count, inst.k)
 
 
 def test_gs_centers_examples(p6, p5):
@@ -151,11 +238,14 @@ def _traced_peak(fn) -> int:
 FIXED_CALL_BYTES = 1024
 
 
-def _build_and_read_both_sides(inst, first, second):
-    # Each side is built on first read; a caller that reads both (the
-    # solver cross-checks do) holds the most one table can.
+def _build_and_run_both_sides(inst, first, second):
+    # The centers' lists stay on the table once gs_centers_run has read
+    # them, and gs_nodes_run ranks the centers of every node turned away; a
+    # caller that runs both on one table (the solver cross-checks do) holds
+    # the most one table can.
     prefs = build_preferences(inst, memory_cap_bytes=None)
-    return getattr(prefs, first), getattr(prefs, second)
+    first(inst, prefs)
+    second(inst, prefs)
 
 
 def test_memory_estimates_cover_traced_peaks():
@@ -163,9 +253,10 @@ def test_memory_estimates_cover_traced_peaks():
     # both table solvers really allocate, or a run under the cap can still
     # die mid-way. The 32x32 k=64 and 64x64 k=8 jitter-7 grids have the
     # shapes of the many-centers and ingest benchmark workloads, 50x50 k=32
-    # that of the road one; at k=1 and k=2 the per-node terms (one-center
-    # preference arrays, one row's ranking scratch) outweigh the per-pair
-    # ones; at 16x16 with k = n = 256 the per-pair term is 91% of the bound.
+    # that of the road one; at k=1 and k=2 the per-node terms (the
+    # matching's per-node lists and heap entries, one row's ranking
+    # scratch) outweigh the per-pair ones; at 16x16 with k = n = 256 the
+    # per-pair term is 91% of the bound.
     grids = []
     for side, k in ((32, 64), (64, 8), (50, 32), (32, 1), (32, 2), (64, 1), (64, 2), (16, 256)):
         g = generate_grid(side, side, jitter_seed=7)
@@ -176,8 +267,8 @@ def test_memory_estimates_cover_traced_peaks():
     for inst, slack in grids + sparse:
         n, k = inst.graph.node_count, inst.k
         bound = check_table_memory("any", n, k, None) + slack
-        for sides in (("center_prefs", "node_prefs"), ("node_prefs", "center_prefs")):
-            gs_peak = _traced_peak(lambda: _build_and_read_both_sides(inst, *sides))
-            assert gs_peak <= bound, (n, k, sides, gs_peak)
+        for runs in ((gs_centers_run, gs_nodes_run), (gs_nodes_run, gs_centers_run)):
+            gs_peak = _traced_peak(lambda: _build_and_run_both_sides(inst, *runs))
+            assert gs_peak <= bound, (n, k, runs[0].__name__, gs_peak)
         mutual_peak = _traced_peak(lambda: mutual_closest_run(inst, memory_cap_bytes=None))
         assert mutual_peak <= bound, (n, k, mutual_peak)
